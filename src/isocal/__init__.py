@@ -1,6 +1,6 @@
 """Isotonic recalibration and verification of probabilistic forecasts."""
 
-from .gridio import ForecastSeries, GridSeries, ParseError, WindowSpec, select_window
+from .gridio import ForecastSeries, GridSeries, ParseError
 from .isotonic import IsotonicMap, fit_isotonic
 from .metrics import (
     ReliabilityCurve,
@@ -40,7 +40,6 @@ __all__ = [
     "PredictiveDist",
     "ReliabilityCurve",
     "SynthConfig",
-    "WindowSpec",
     "build_calibration_dataset",
     "calibrated_cdf",
     "calibrated_quantile",
@@ -60,7 +59,6 @@ __all__ = [
     "quantile",
     "reliability_curve",
     "save_model",
-    "select_window",
     "sharpness",
     "true_recalibration_map",
     "variance",

@@ -125,30 +125,47 @@ def _flatten(cells):
     return dists, obs
 
 
-def _metric_block(groups, calibrator, levels, variant):
-    """Metrics pooled over groups of (forecasts, observations, cell),
-    weighting each group's curve by its point count."""
-    total = 0
-    emp = np.zeros_like(levels)
-    mae_sum = 0.0
-    sharp_sum = 0.0
+def _load_model(args, gs):
+    """The ``--model`` file, if given, checked against the data grid."""
+    model = load_model(args.model) if args.model else None
+    if model is not None and model.scope == "per_cell" and (model.h, model.w) != (gs.h, gs.w):
+        raise ValueError(f"grid dimension mismatch: model {model.h}x{model.w}, "
+                         f"data {gs.h}x{gs.w}")
+    return model
+
+
+def _cell_groups(cells):
+    return [(cell.forecasts, cell.observations, (cell.row, cell.col)) for cell in cells]
+
+
+def _pooled(groups, score):
+    """Mean of ``score(forecasts, observations, cell)`` over groups of
+    (forecasts, observations, cell), weighting each by its point count."""
+    total, acc = 0, 0.0
     for dists, obs, cell in groups:
-        n = len(obs)
-        if n == 0:
-            continue
-        curve = reliability_curve(dists, obs, levels, calibrator, cell)
-        emp += n * curve.empirical
-        mae_sum += n * mae_mid_quantile(dists, obs, calibrator, cell)
-        sharp_sum += n * sharpness(dists, calibrator, cell)
-        total += n
+        if len(obs):
+            acc = acc + len(obs) * score(dists, obs, cell)
+            total += len(obs)
     if total == 0:
         raise ValueError("no valid forecast/observation pairs")
-    emp /= total
+    return acc / total
+
+
+def _metric_block(groups, calibrator, levels, variant):
+    """Coverage, CE, MAE and sharpness pooled over groups of
+    (forecasts, observations, cell)."""
+    def score(dists, obs, cell):
+        curve = reliability_curve(dists, obs, levels, calibrator, cell)
+        return np.append(curve.empirical, [mae_mid_quantile(dists, obs, calibrator, cell),
+                                           sharpness(dists, calibrator, cell)])
+
+    pooled = _pooled(groups, score)
+    emp = pooled[:-2]
     ce = calibration_error(ReliabilityCurve(levels, emp, np.ones_like(levels)), variant)
     return {
         "ce": ce,
-        "mae": mae_sum / total,
-        "sharpness": sharp_sum / total,
+        "mae": float(pooled[-2]),
+        "sharpness": float(pooled[-1]),
         "coverage": {_level_key(p): float(e) for p, e in zip(levels, emp)},
     }
 
@@ -184,10 +201,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     fs, gs, cells = _load_grids(args)
-    model = load_model(args.model) if args.model else None
-    if model is not None and model.scope == "per_cell" and (model.h, model.w) != (gs.h, gs.w):
-        raise ValueError(f"grid dimension mismatch: model {model.h}x{model.w}, "
-                         f"data {gs.h}x{gs.w}")
+    model = _load_model(args, gs)
     levels = args.levels
     flat_group = [(*_flatten(cells), None)]
     report = {
@@ -196,10 +210,7 @@ def cmd_evaluate(args) -> int:
         "uncalibrated": _metric_block(flat_group, None, levels, args.ce_variant),
     }
     if model is not None:
-        if model.scope == "per_cell":
-            groups = [(cell.forecasts, cell.observations, (cell.row, cell.col)) for cell in cells]
-        else:
-            groups = flat_group
+        groups = _cell_groups(cells) if model.scope == "per_cell" else flat_group
         report["calibrated"] = _metric_block(groups, model, levels, args.ce_variant)
         report["deltas_pct"] = {
             key: _delta_pct(report["uncalibrated"][key], report["calibrated"][key])
@@ -233,10 +244,7 @@ def _print_human(report, variant):
 
 def cmd_reliability(args) -> int:
     fs, gs, cells = _load_grids(args)
-    model = load_model(args.model) if args.model else None
-    if model is not None and model.scope == "per_cell" and (model.h, model.w) != (gs.h, gs.w):
-        raise ValueError(f"grid dimension mismatch: model {model.h}x{model.w}, "
-                         f"data {gs.h}x{gs.w}")
+    model = _load_model(args, gs)
     levels = args.levels
 
     if args.cell:
@@ -254,19 +262,9 @@ def cmd_reliability(args) -> int:
         return EXIT_OK
 
     if model is not None and model.scope == "per_cell":
-        total = 0
-        emp = np.zeros_like(levels)
-        for cell in cells:
-            n = len(cell.observations)
-            if n == 0:
-                continue
-            curve = reliability_curve(cell.forecasts, cell.observations, levels,
-                                      model, (cell.row, cell.col))
-            emp += n * curve.empirical
-            total += n
-        if total == 0:
-            raise ValueError("no valid forecast/observation pairs")
-        curve = ReliabilityCurve(levels, emp / total, np.ones_like(levels))
+        emp = _pooled(_cell_groups(cells),
+                      lambda dists, obs, cell: reliability_curve(dists, obs, levels, model, cell).empirical)
+        curve = ReliabilityCurve(levels, emp, np.ones_like(levels))
     else:
         dists, obs = _flatten(cells)
         curve = reliability_curve(dists, obs, levels, model, None)

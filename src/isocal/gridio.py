@@ -1,7 +1,8 @@
 """Gridded time-series containers and their CSV formats.
 
 Three plain-CSV formats cover the pipeline, all UTF-8 with LF endings and
-``.`` as the decimal separator:
+``.`` as the decimal separator. Each is declared once in ``_FORMATS``,
+keyed by its header line:
 
 * observations:       ``time,row,col,value``
 * Gaussian forecasts: ``time,row,col,mean,std``
@@ -9,17 +10,28 @@ Three plain-CSV formats cover the pipeline, all UTF-8 with LF endings and
 
 Records may appear in any order, but every (time, row, col) combination
 implied by the distinct times and the maximum row/col indices must be
-present exactly once (and, for ensembles, carry members 0..k-1). Missing
-observations are written as the token ``NaN`` and tracked by a validity
-mask; forecast files must be fully populated with strictly positive
-spreads. Reads and writes round-trip at full double precision.
+present exactly once (and, for ensembles, carry members 0..k-1). The key
+columns ``time``, ``row``, ``col`` and ``sample_idx`` are nonnegative
+integers that fit in a signed 64-bit integer; a larger value is an
+``invalid <column>`` error on its line. Missing observations are written
+as the token ``NaN`` and tracked by a validity mask; forecast files must
+be fully populated with strictly positive spreads. Reads and writes
+round-trip at full double precision.
+
+A bad file reports one error. A wrong field count on any line is found
+before any value is parsed; otherwise the earliest line with a problem
+wins, and within that line the leftmost bad column, then a nonpositive
+``std``, then a duplicate key. Errors about the grid as a whole (fewer
+than two ensemble members, a missing point) come after every line error
+and name no line. Completeness is checked on the sorted keys before the
+dense grid is allocated, so a stray index costs no memory.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,18 +41,22 @@ __all__ = [
     "ParseError",
     "GridSeries",
     "ForecastSeries",
-    "WindowSpec",
-    "Window",
     "read_observations",
     "write_observations",
     "read_forecasts",
     "write_forecasts",
-    "select_window",
 ]
 
 OBS_HEADER = "time,row,col,value"
 GAUSSIAN_HEADER = "time,row,col,mean,std"
 ENSEMBLE_HEADER = "time,row,col,sample_idx,value"
+
+# header -> (integer key columns in grid order, float value columns, NaN values allowed)
+_FORMATS = {
+    OBS_HEADER: (("time", "row", "col"), ("value",), True),
+    GAUSSIAN_HEADER: (("time", "row", "col"), ("mean", "std"), False),
+    ENSEMBLE_HEADER: (("time", "row", "col", "sample_idx"), ("value",), False),
+}
 
 
 class ParseError(ValueError):
@@ -49,10 +65,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line is not None else message)
-
-
-def _fmt(x: float) -> str:
-    return "NaN" if math.isnan(x) else repr(float(x))
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,94 +179,131 @@ class ForecastSeries:
         return Empirical(self.samples[t_index, row, col])
 
 
-@dataclass(frozen=True)
-class WindowSpec:
-    """Input-window selection: depth k, periodic extension m, step stride."""
+def _parse_column(tokens: list[str], name: str, is_key: bool, nan_ok: bool):
+    """Convert one column with ``int`` (keys) or ``float`` (values).
 
-    k: int
-    m: int = 0
-    stride: int = 1
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("window depth k must be at least 1")
-        if self.m < 0:
-            raise ValueError("periodic extension m must be nonnegative")
-        if self.stride < 1:
-            raise ValueError("stride must be at least 1")
-
-
-class Window(NamedTuple):
-    times: tuple[int, ...]
-    values: np.ndarray  # (k + m) x H x W, newest first
-
-
-def select_window(gs: GridSeries, t: int, spec: WindowSpec) -> Window:
-    """Stack the k+m input slices preceding time ``t``, newest first.
-
-    Slice times are t-1, t-1-stride, t-1-2*stride, ...; every one must be
-    present in the series.
+    Returns the values before the column's first bad token and that
+    token's error message, or all values and None.
     """
-    depth = spec.k + spec.m
-    if t - depth * spec.stride < gs.times[0]:
-        raise ValueError(f"insufficient history before t={t} for depth {depth} at stride {spec.stride}")
-    wanted = tuple(t - 1 - i * spec.stride for i in range(depth))
-    index = {tv: i for i, tv in enumerate(gs.times)}
-    positions = []
-    for tv in wanted:
-        if tv not in index:
-            raise ValueError(f"insufficient history: time {tv} not in series")
-        positions.append(index[tv])
-    return Window(wanted, gs.values[positions])
+    convert, dtype = (int, np.int64) if is_key else (float, np.float64)
+    error = None
+    try:
+        col = np.fromiter(map(convert, tokens), dtype, len(tokens))
+    except (ValueError, OverflowError):
+        for bad, token in enumerate(tokens):
+            try:
+                dtype(convert(token))
+            except (ValueError, OverflowError):
+                break
+        col = np.fromiter(map(convert, tokens[:bad]), dtype, bad)
+        error = f"invalid {name}: {tokens[bad]!r}"
+    if is_key:
+        flagged = col < 0
+    else:
+        flagged = np.isinf(col) if nan_ok else ~np.isfinite(col)
+        if name == "std":
+            flagged |= col <= 0.0
+    first = np.flatnonzero(flagged)
+    if first.size:
+        bad = first[0]
+        value = col[bad].item()
+        if is_key:
+            error = f"negative {name}: {value}"
+        elif math.isnan(value):
+            error = f"{name} may not be NaN"
+        elif math.isinf(value):
+            error = f"non-finite {name}: {tokens[bad]!r}"
+        else:
+            error = f"nonpositive std: {value}"
+        col = col[:bad]
+    return col, error
 
 
-def _read_rows(path, expected_headers: tuple[str, ...]):
-    """Read (line_number, fields) records, validating the header line."""
+def _where(names, key) -> str:
+    """A key as error messages print it, e.g. ``(t=3, row=0, col=1)``."""
+    return "(" + ", ".join(f"{'t' if name == 'time' else name}={v}" for name, v in zip(names, key)) + ")"
+
+
+def _read_grid(path, headers: tuple[str, ...]):
+    """Parse a grid CSV whose header is one of ``headers``.
+
+    Returns the header, the sorted distinct times and one dense array per
+    value column, shaped T x H x W (x k for ensembles).
+    """
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline()
-        if not header:
-            raise ParseError("empty file, expected a header", line=1)
-        name = header.rstrip("\n").rstrip("\r")
-        if name not in expected_headers:
-            raise ParseError(f"malformed header {name!r}, expected {' or '.join(expected_headers)}", line=1)
-        n_fields = len(name.split(","))
-        rows = []
-        for lineno, raw in enumerate(fh, start=2):
-            stripped = raw.rstrip("\n").rstrip("\r")
-            if not stripped:
-                continue
-            fields = stripped.split(",")
-            if len(fields) != n_fields:
-                raise ParseError(f"expected {n_fields} fields, got {len(fields)}", line=lineno)
-            rows.append((lineno, fields))
-    return name, rows
+        header, *lines = fh.read().split("\n")
+    if not header and not lines:
+        raise ParseError("empty file, expected a header", line=1)
+    if header not in headers:
+        raise ParseError(f"malformed header {header!r}, expected {' or '.join(headers)}", line=1)
+    key_names, value_names, nan_ok = _FORMATS[header]
+    n_fields = len(key_names) + len(value_names)
+    linenos = [lineno for lineno, line in enumerate(lines, start=2) if line]
+    lines = [line for line in lines if line]
+    if not lines:
+        raise ParseError("no data records", line=2)
+    for lineno, line in zip(linenos, lines):
+        if line.count(",") != n_fields - 1:
+            raise ParseError(f"expected {n_fields} fields, got {line.count(',') + 1}", line=lineno)
+    tokens = ",".join(lines).split(",")
+
+    # Each column is parsed only up to the earliest bad line found so far,
+    # so the error kept is that line's leftmost one.
+    n, error, columns = len(lines), None, []
+    for j, name in enumerate(key_names + value_names):
+        col, col_error = _parse_column(tokens[j:n * n_fields:n_fields], name, j < len(key_names), nan_ok)
+        if col_error is not None:
+            n, error = len(col), col_error
+        columns.append(col)
+    keys = np.array([col[:n] for col in columns[:len(key_names)]])
+
+    order = np.lexsort(keys[::-1])
+    ordered = keys[:, order]
+    repeats = order[1:][(ordered[:, 1:] == ordered[:, :-1]).all(axis=0)]
+    if repeats.size:
+        i = repeats.min()
+        first = np.flatnonzero((keys == keys[:, [i]]).all(axis=0))[0]
+        raise ParseError(f"duplicate entry for {_where(key_names, keys[:, i])}, "
+                         f"first seen on line {linenos[first]}", line=linenos[i])
+    if error is not None:
+        raise ParseError(error, line=linenos[n])
+
+    new_time = np.r_[True, ordered[0, 1:] != ordered[0, :-1]]
+    times = ordered[0, new_time].tolist()
+    shape = (len(times), *(int(col.max()) + 1 for col in keys[1:]))
+    if len(shape) == 4 and shape[3] < 2:
+        raise ParseError("ensemble files need at least 2 members per cell")
+    if math.prod(shape) != n:
+        # The i-th sorted key of a complete grid is the i-th grid point in C
+        # order; the first position where they differ is the first hole.
+        expected, rest = [], np.arange(n + 1)
+        for size in reversed(shape):
+            size = min(size, n + 1)  # same quotients for rest <= n, and fits int64
+            expected.insert(0, rest % size)
+            rest //= size
+        expected = np.array(expected)
+        ordered[0] = np.cumsum(new_time) - 1
+        differ = np.flatnonzero((ordered != expected[:, :n]).any(axis=0))
+        hole = expected[:, differ[0] if differ.size else n].tolist()
+        where = _where(key_names, (times[hole[0]], *hole[1:3]))
+        if len(shape) == 4:
+            raise ParseError(f"non-rectangular grid: missing sample_idx {hole[3]} for {where}; "
+                             f"members must be contiguous 0..{shape[3] - 1}")
+        raise ParseError(f"non-rectangular grid: missing entry for {where}")
+    return header, tuple(times), [col[order].reshape(shape) for col in columns[len(key_names):]]
 
 
-def _parse_int(text: str, what: str, lineno: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ParseError(f"invalid {what}: {text!r}", line=lineno) from None
-    if value < 0:
-        raise ParseError(f"negative {what}: {value}", line=lineno)
-    return value
-
-
-def _parse_float(text: str, what: str, lineno: int, allow_nan: bool = False) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise ParseError(f"invalid {what}: {text!r}", line=lineno) from None
-    if math.isnan(value) and not allow_nan:
-        raise ParseError(f"{what} may not be NaN", line=lineno)
-    if math.isinf(value):
-        raise ParseError(f"non-finite {what}: {text!r}", line=lineno)
-    return value
-
-
-def _first_missing(seen: np.ndarray, times: list[int]) -> str:
-    t_idx, r, c = np.argwhere(~seen)[0][:3]
-    return f"(t={times[t_idx]}, row={r}, col={c})"
+def _write_grid(path, header: str, times, *fields: np.ndarray) -> None:
+    """Write dense value fields in canonical order: time, then row, then
+    col (then sample_idx), one record per grid point."""
+    keys = itertools.product(times, *map(range, fields[0].shape[1:]))
+    values = zip(*(field.ravel().tolist() for field in fields))
+    record = ",".join(["%d"] * fields[0].ndim + ["%r"] * len(fields)) + "\n"
+    body = "".join([record % (key + value) for key, value in zip(keys, values)])
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(header + "\n")
+        # repr spells a missing value "nan", which no other field can contain
+        fh.write(body.replace("nan", "NaN"))
 
 
 def read_observations(path) -> GridSeries:
@@ -264,132 +313,26 @@ def read_observations(path) -> GridSeries:
     indices; the file must cover that cross product exactly once per
     point. ``NaN`` values mark missing observations.
     """
-    _, rows = _read_rows(path, (OBS_HEADER,))
-    if not rows:
-        raise ParseError("no data records", line=2)
-    entries: dict[tuple[int, int, int], tuple[int, float]] = {}
-    for lineno, fields in rows:
-        t = _parse_int(fields[0], "time", lineno)
-        r = _parse_int(fields[1], "row", lineno)
-        c = _parse_int(fields[2], "col", lineno)
-        v = _parse_float(fields[3], "value", lineno, allow_nan=True)
-        key = (t, r, c)
-        if key in entries:
-            raise ParseError(f"duplicate entry for (t={t}, row={r}, col={c}), "
-                             f"first seen on line {entries[key][0]}", line=lineno)
-        entries[key] = (lineno, v)
-
-    times = sorted({t for t, _, _ in entries})
-    h = max(r for _, r, _ in entries) + 1
-    w = max(c for _, _, c in entries) + 1
-    t_index = {t: i for i, t in enumerate(times)}
-    values = np.full((len(times), h, w), np.nan)
-    seen = np.zeros((len(times), h, w), dtype=bool)
-    for (t, r, c), (_, v) in entries.items():
-        values[t_index[t], r, c] = v
-        seen[t_index[t], r, c] = True
-    if not seen.all():
-        raise ParseError(f"non-rectangular grid: missing entry for {_first_missing(seen, times)}")
-    return GridSeries(times=tuple(times), values=values)
+    _, times, (values,) = _read_grid(path, (OBS_HEADER,))
+    return GridSeries(times=times, values=values)
 
 
 def write_observations(gs: GridSeries, path) -> None:
     """Write a `GridSeries` in canonical order (time, then row, then col)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(OBS_HEADER + "\n")
-        for ti, t in enumerate(gs.times):
-            for r in range(gs.h):
-                for c in range(gs.w):
-                    fh.write(f"{t},{r},{c},{_fmt(gs.values[ti, r, c])}\n")
+    _write_grid(path, OBS_HEADER, gs.times, gs.values)
 
 
 def read_forecasts(path) -> ForecastSeries:
     """Parse a forecast CSV, Gaussian or ensemble variant by header."""
-    name, rows = _read_rows(path, (GAUSSIAN_HEADER, ENSEMBLE_HEADER))
-    if not rows:
-        raise ParseError("no data records", line=2)
-    if name == GAUSSIAN_HEADER:
-        return _read_gaussian_forecasts(rows)
-    return _read_ensemble_forecasts(rows)
-
-
-def _read_gaussian_forecasts(rows) -> ForecastSeries:
-    entries: dict[tuple[int, int, int], tuple[int, float, float]] = {}
-    for lineno, fields in rows:
-        t = _parse_int(fields[0], "time", lineno)
-        r = _parse_int(fields[1], "row", lineno)
-        c = _parse_int(fields[2], "col", lineno)
-        mean = _parse_float(fields[3], "mean", lineno)
-        std = _parse_float(fields[4], "std", lineno)
-        if std <= 0.0:
-            raise ParseError(f"nonpositive std: {std}", line=lineno)
-        key = (t, r, c)
-        if key in entries:
-            raise ParseError(f"duplicate entry for (t={t}, row={r}, col={c}), "
-                             f"first seen on line {entries[key][0]}", line=lineno)
-        entries[key] = (lineno, mean, std)
-
-    times = sorted({t for t, _, _ in entries})
-    h = max(r for _, r, _ in entries) + 1
-    w = max(c for _, _, c in entries) + 1
-    t_index = {t: i for i, t in enumerate(times)}
-    means = np.full((len(times), h, w), np.nan)
-    stds = np.full((len(times), h, w), np.nan)
-    for (t, r, c), (_, mean, std) in entries.items():
-        means[t_index[t], r, c] = mean
-        stds[t_index[t], r, c] = std
-    seen = np.isfinite(stds)
-    if not seen.all():
-        raise ParseError(f"non-rectangular grid: missing entry for {_first_missing(seen, times)}")
-    return ForecastSeries(times=tuple(times), means=means, stds=stds)
-
-
-def _read_ensemble_forecasts(rows) -> ForecastSeries:
-    entries: dict[tuple[int, int, int, int], tuple[int, float]] = {}
-    for lineno, fields in rows:
-        t = _parse_int(fields[0], "time", lineno)
-        r = _parse_int(fields[1], "row", lineno)
-        c = _parse_int(fields[2], "col", lineno)
-        s = _parse_int(fields[3], "sample_idx", lineno)
-        v = _parse_float(fields[4], "value", lineno)
-        key = (t, r, c, s)
-        if key in entries:
-            raise ParseError(f"duplicate entry for (t={t}, row={r}, col={c}, sample_idx={s}), "
-                             f"first seen on line {entries[key][0]}", line=lineno)
-        entries[key] = (lineno, v)
-
-    times = sorted({t for t, _, _, _ in entries})
-    h = max(r for _, r, _, _ in entries) + 1
-    w = max(c for _, _, c, _ in entries) + 1
-    k = max(s for _, _, _, s in entries) + 1
-    if k < 2:
-        raise ParseError("ensemble files need at least 2 members per cell")
-    t_index = {t: i for i, t in enumerate(times)}
-    samples = np.full((len(times), h, w, k), np.nan)
-    for (t, r, c, s), (_, v) in entries.items():
-        samples[t_index[t], r, c, s] = v
-    seen = np.isfinite(samples)
-    if not seen.all():
-        ti, r, c, s = np.argwhere(~seen)[0]
-        raise ParseError(f"non-rectangular grid: missing sample_idx {s} for "
-                         f"(t={times[ti]}, row={r}, col={c}); members must be contiguous 0..{k - 1}")
-    return ForecastSeries(times=tuple(times), samples=samples)
+    header, times, fields = _read_grid(path, (GAUSSIAN_HEADER, ENSEMBLE_HEADER))
+    if header == GAUSSIAN_HEADER:
+        return ForecastSeries(times=times, means=fields[0], stds=fields[1])
+    return ForecastSeries(times=times, samples=fields[0])
 
 
 def write_forecasts(fs: ForecastSeries, path) -> None:
     """Write a `ForecastSeries` in canonical order, matching its variant."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if fs.kind == "gaussian":
-            fh.write(GAUSSIAN_HEADER + "\n")
-            for ti, t in enumerate(fs.times):
-                for r in range(fs.h):
-                    for c in range(fs.w):
-                        fh.write(f"{t},{r},{c},{_fmt(fs.means[ti, r, c])},{_fmt(fs.stds[ti, r, c])}\n")
-        else:
-            fh.write(ENSEMBLE_HEADER + "\n")
-            k = fs.samples.shape[3]
-            for ti, t in enumerate(fs.times):
-                for r in range(fs.h):
-                    for c in range(fs.w):
-                        for s in range(k):
-                            fh.write(f"{t},{r},{c},{s},{_fmt(fs.samples[ti, r, c, s])}\n")
+    if fs.kind == "gaussian":
+        _write_grid(path, GAUSSIAN_HEADER, fs.times, fs.means, fs.stds)
+    else:
+        _write_grid(path, ENSEMBLE_HEADER, fs.times, fs.samples)

@@ -145,6 +145,15 @@ class TestEvaluateCommand:
                    "--observations", alpha2_files / "test_obs.csv",
                    "--model", model) == 3
 
+    def test_index_beyond_int64_is_parse_error(self, tmp_path, capsys):
+        fc = tmp_path / "fc.csv"
+        fc.write_text("time,row,col,mean,std\n0,0,0,0.0,1.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,row,col,value\n0,0,0,0.5\n0,99999999999999999999,0,1.0\n")
+        assert run("evaluate", "--forecasts", fc, "--observations", obs) == 2
+        assert capsys.readouterr().err == \
+            "isocal: parse error: line 3: invalid row: '99999999999999999999'\n"
+
     def test_levels_flag_variants(self, alpha2_files, capsys):
         assert run("evaluate", "--forecasts", alpha2_files / "test_fc.csv",
                    "--observations", alpha2_files / "test_obs.csv",

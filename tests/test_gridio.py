@@ -1,3 +1,6 @@
+import tracemalloc
+from typing import Callable, NamedTuple
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,8 @@ from isocal.gridio import (
     ForecastSeries,
     GridSeries,
     ParseError,
-    WindowSpec,
     read_forecasts,
     read_observations,
-    select_window,
     write_forecasts,
     write_observations,
 )
@@ -103,6 +104,18 @@ class TestObservationsFormat:
         with pytest.raises(ParseError, match="no data records"):
             read_observations(path)
 
+    def test_stray_index_allocates_no_grid(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("time,row,col,value\n0,0,0,1.0\n0,3000000,0,2.0\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError, match=r"^non-rectangular grid: missing entry for \(t=0, row=1, col=0\)$"):
+                read_observations(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
 
 class TestForecastFormats:
     def test_gaussian_row(self, tmp_path):
@@ -160,6 +173,80 @@ class TestForecastFormats:
         np.testing.assert_array_equal(back.samples, fs.samples)
 
 
+class Format(NamedTuple):
+    header: str
+    reader: Callable
+    record: Callable  # (time, row, col, first value) -> CSV line
+    value_name: str  # name of the first value column
+
+
+FORMATS = {
+    "observations": Format("time,row,col,value", read_observations,
+                           lambda t, r, c, v: f"{t},{r},{c},{v}", "value"),
+    "gaussian": Format("time,row,col,mean,std", read_forecasts,
+                       lambda t, r, c, v: f"{t},{r},{c},{v},1.0", "mean"),
+    "ensemble": Format("time,row,col,sample_idx,value", read_forecasts,
+                       lambda t, r, c, v: f"{t},{r},{c},0,{v}", "value"),
+}
+
+
+class TestFirstError:
+    """Which error a file with several problems reports."""
+
+    @pytest.fixture(params=sorted(FORMATS))
+    def fmt(self, request):
+        return FORMATS[request.param]
+
+    @staticmethod
+    def read(tmp_path, fmt, records, eol="\n"):
+        path = tmp_path / "grid.csv"
+        path.write_bytes((eol.join([fmt.header, *records]) + eol).encode())
+        return fmt.reader(path)
+
+    def test_field_count_on_a_late_line_wins(self, tmp_path, fmt):
+        rec = fmt.record
+        n_fields = len(fmt.header.split(","))
+        with pytest.raises(ParseError, match=f"^line 4: expected {n_fields} fields, got {n_fields + 1}$"):
+            self.read(tmp_path, fmt, [rec(0, 0, 0, "abc"), rec(0, 0, 1, "1.0"), rec(0, 0, 2, "1.0") + ",9"])
+
+    def test_leftmost_bad_column_wins(self, tmp_path, fmt):
+        rec = fmt.record
+        with pytest.raises(ParseError, match="^line 3: invalid row: 'x'$"):
+            self.read(tmp_path, fmt, [rec(0, 0, 0, "1.0"), rec(0, "x", 1, "abc")])
+
+    def test_duplicate_before_bad_value_wins(self, tmp_path, fmt):
+        rec = fmt.record
+        records = [rec(0, 0, 0, "1.0"), rec(0, 0, 1, "1.0"), rec(0, 0, 0, "2.0"),
+                   rec(0, 0, 2, "1.0"), rec(0, 0, 3, "abc")]
+        with pytest.raises(ParseError, match=r"^line 4: duplicate entry for \(t=0, row=0, col=0(, sample_idx=0)?\), "
+                                             r"first seen on line 2$"):
+            self.read(tmp_path, fmt, records)
+
+    def test_bad_value_before_duplicate_wins(self, tmp_path, fmt):
+        rec, value_name = fmt.record, fmt.value_name
+        records = [rec(0, 0, 0, "1.0"), rec(0, 0, 1, "abc"), rec(0, 0, 2, "1.0"), rec(0, 0, 0, "1.0")]
+        with pytest.raises(ParseError, match=f"^line 3: invalid {value_name}: 'abc'$"):
+            self.read(tmp_path, fmt, records)
+
+    def test_crlf_and_blank_lines_keep_line_numbers(self, tmp_path, fmt):
+        rec, value_name = fmt.record, fmt.value_name
+        records = [rec(0, 0, 0, "1.0"), "", rec(0, 0, 1, "1.0"), "", rec(0, 0, 2, "abc")]
+        with pytest.raises(ParseError, match=f"^line 6: invalid {value_name}: 'abc'$"):
+            self.read(tmp_path, fmt, records, eol="\r\n")
+
+    def test_nan_only_allowed_for_observations(self, tmp_path, fmt):
+        rec, value_name = fmt.record, fmt.value_name
+        if fmt is FORMATS["observations"]:
+            assert np.isnan(self.read(tmp_path, fmt, [rec(0, 0, 0, "NaN")]).values[0, 0, 0])
+        else:
+            with pytest.raises(ParseError, match=f"^line 2: {value_name} may not be NaN$"):
+                self.read(tmp_path, fmt, [rec(0, 0, 0, "NaN")])
+
+    def test_zero_std_names_value(self, tmp_path):
+        with pytest.raises(ParseError, match=r"^line 2: nonpositive std: 0\.0$"):
+            self.read(tmp_path, FORMATS["gaussian"], ["0,0,0,10.0,0"])
+
+
 class TestSeriesValidation:
     def test_out_of_order_times(self):
         with pytest.raises(ValueError, match="out-of-order times"):
@@ -180,46 +267,3 @@ class TestSeriesValidation:
         with pytest.raises(ValueError, match="nonpositive std"):
             ForecastSeries(times=(0,), means=np.zeros((1, 1, 1)), stds=np.zeros((1, 1, 1)))
 
-
-class TestSelectWindow:
-    def test_contiguous_window(self):
-        gs = GridSeries(times=tuple(range(10)), values=np.arange(10.0).reshape(10, 1, 1))
-        win = select_window(gs, 5, WindowSpec(k=2))
-        assert win.times == (4, 3)
-        assert win.values[:, 0, 0].tolist() == [4.0, 3.0]
-
-    def test_strided_window(self):
-        gs = GridSeries(times=tuple(range(30)), values=np.arange(30.0).reshape(30, 1, 1))
-        win = select_window(gs, 25, WindowSpec(k=1, m=1, stride=12))
-        assert win.times == (24, 12)
-
-    def test_insufficient_history(self):
-        gs = GridSeries(times=tuple(range(10)), values=np.zeros((10, 1, 1)))
-        with pytest.raises(ValueError, match="insufficient history"):
-            select_window(gs, 1, WindowSpec(k=3))
-
-    def test_sparse_series_with_matching_stride(self):
-        gs = GridSeries(times=(0, 12, 24), values=np.arange(3.0).reshape(3, 1, 1))
-        win = select_window(gs, 25, WindowSpec(k=1, m=1, stride=12))
-        assert win.times == (24, 12)
-        assert win.values[:, 0, 0].tolist() == [2.0, 1.0]
-
-    def test_sparse_series_missing_slice(self):
-        gs = GridSeries(times=(0, 12, 24), values=np.zeros((3, 1, 1)))
-        with pytest.raises(ValueError, match="not in series"):
-            select_window(gs, 25, WindowSpec(k=2, stride=1))
-
-    def test_window_length_and_order(self):
-        gs = GridSeries(times=tuple(range(50)), values=np.zeros((50, 1, 1)))
-        for k, m, stride in [(1, 0, 1), (3, 2, 2), (4, 0, 3)]:
-            win = select_window(gs, 49, WindowSpec(k=k, m=m, stride=stride))
-            assert len(win.times) == k + m
-            assert all(a > b for a, b in zip(win.times, win.times[1:]))
-
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            WindowSpec(k=0)
-        with pytest.raises(ValueError):
-            WindowSpec(k=1, m=-1)
-        with pytest.raises(ValueError):
-            WindowSpec(k=1, stride=0)

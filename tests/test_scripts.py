@@ -1,0 +1,38 @@
+"""Smoke tests: the experiment scripts run end to end at a small size."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def run_script(name, *args):
+    env = {**os.environ, "PYTHONPATH": "src"}
+    proc = subprocess.run([sys.executable, f"scripts/{name}", *map(str, args)], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_run_synth_experiment():
+    lines = run_script("run_synth_experiment.py", "--n", 200)
+    assert lines[0].split()[:3] == ["emulator", "alpha", "|"]
+    assert lines[1] == "-" * 103
+    rows = [line.split("|")[0].split() for line in lines[2:]]
+    assert [(" ".join(row[:-1]), row[-1]) for row in rows] == [
+        (label, alpha) for label in ("gaussian head", "ensemble k=10", "ensemble k=40")
+        for alpha in ("0.50", "1.00", "2.00")]
+
+
+def test_make_reliability_curves(tmp_path):
+    lines = run_script("make_reliability_curves.py", "--n", 200, "--out-dir", tmp_path)
+    tags = ["alpha0p5", "alpha1", "alpha2"]
+    assert lines == [f"alpha={alpha}: wrote {tag}_uncalibrated.csv and {tag}_calibrated.csv"
+                     for alpha, tag in zip(("0.5", "1", "2"), tags)]
+    for tag in tags:
+        for kind in ("uncalibrated", "calibrated"):
+            curve = (tmp_path / f"{tag}_{kind}.csv").read_text().splitlines()
+            assert curve[0] == "level,empirical,weight"
+            assert len(curve) == 40
