@@ -22,6 +22,7 @@ import numpy as np
 
 from . import gridio
 from .gridio import ParseError, read_forecasts, read_observations
+from .predictive import ForecastColumns
 from .metrics import (
     ReliabilityCurve,
     calibration_error,
@@ -45,6 +46,7 @@ EXIT_PARSE = 2
 EXIT_COMPUTE = 3
 
 DEFAULT_LEVELS = "0.05:0.95:0.05"
+MAX_LEVELS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,15 +65,21 @@ def _positive_float(text: str) -> float:
 
 
 def _parse_levels(spec: str) -> np.ndarray:
-    """Levels from ``start:stop:step`` or a comma-separated list."""
+    """Levels from ``start:stop:step`` or a comma-separated list, at most
+    `MAX_LEVELS` of them."""
     try:
         if ":" in spec:
             start, stop, step = (float(x) for x in spec.split(":"))
             count = int(round((stop - start) / step)) + 1
+        else:
+            count = spec.count(",") + 1
+        if count > MAX_LEVELS:
+            raise argparse.ArgumentTypeError(f"more than {MAX_LEVELS} levels: {spec!r}")
+        if ":" in spec:
             levels = [round(start + i * step, 10) for i in range(count)]
         else:
             levels = [round(float(x), 10) for x in spec.split(",")]
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(f"bad levels spec: {spec!r}") from None
     arr = np.asarray(levels, dtype=np.float64)
     if arr.size == 0 or np.any(arr <= 0.0) or np.any(arr >= 1.0) or np.any(np.diff(arr) <= 0.0):
@@ -118,11 +126,10 @@ def _load_grids(args):
 
 
 def _flatten(cells):
-    dists = [d for cell in cells for d in cell.forecasts]
     obs = np.concatenate([cell.observations for cell in cells])
     if obs.size == 0:
         raise ValueError("no valid forecast/observation pairs")
-    return dists, obs
+    return ForecastColumns.concat(cell.forecasts for cell in cells), obs
 
 
 def _load_model(args, gs):
@@ -217,7 +224,7 @@ def cmd_evaluate(args) -> int:
             for key in ("ce", "mae", "sharpness")
         }
 
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -306,7 +313,9 @@ def _build_parser() -> _Parser:
     ev.add_argument("--forecasts", required=True)
     ev.add_argument("--observations", required=True)
     ev.add_argument("--model")
-    ev.add_argument("--levels", type=_parse_levels, default=_parse_levels(DEFAULT_LEVELS))
+    ev.add_argument("--levels", type=_parse_levels, default=_parse_levels(DEFAULT_LEVELS),
+                    help=f"START:STOP:STEP or a comma list, at most {MAX_LEVELS} levels "
+                         f"(default {DEFAULT_LEVELS})")
     ev.add_argument("--ce-variant", choices=["signed", "absolute", "squared"], default="absolute")
     ev.add_argument("--human", action="store_true", help="text table instead of JSON on stdout")
     ev.add_argument("--out", help="write the JSON report here")
@@ -316,7 +325,9 @@ def _build_parser() -> _Parser:
     rel.add_argument("--forecasts", required=True)
     rel.add_argument("--observations", required=True)
     rel.add_argument("--model")
-    rel.add_argument("--levels", type=_parse_levels, default=_parse_levels(DEFAULT_LEVELS))
+    rel.add_argument("--levels", type=_parse_levels, default=_parse_levels(DEFAULT_LEVELS),
+                    help=f"START:STOP:STEP or a comma list, at most {MAX_LEVELS} levels "
+                         f"(default {DEFAULT_LEVELS})")
     rel.add_argument("--cell", type=_parse_cell, action="append",
                      help="ROW,COL; repeatable, one output file per cell")
     rel.add_argument("--out", required=True, help="curve CSV path")

@@ -18,10 +18,11 @@ as the token ``NaN`` and tracked by a validity mask; forecast files must
 be fully populated with strictly positive spreads. Reads and writes
 round-trip at full double precision.
 
-A bad file reports one error. A wrong field count on any line is found
-before any value is parsed; otherwise the earliest line with a problem
-wins, and within that line the leftmost bad column, then a nonpositive
-``std``, then a duplicate key. Errors about the grid as a whole (fewer
+A bad file reports one error. The first byte that is not UTF-8 is
+reported before anything else, on its line. A wrong field count on any
+line is found before any value is parsed; otherwise the earliest line
+with a problem wins, and within that line the leftmost bad column, then
+a nonpositive ``std``, then a duplicate key. Errors about the grid as a whole (fewer
 than two ensemble members, a missing point) come after every line error
 and name no line. Completeness is checked on the sorted keys before the
 dense grid is allocated, so a stray index costs no memory.
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictive import Empirical, Gaussian, PredictiveDist
+from .predictive import Empirical, Gaussian, PredictiveDist, forecast_arrays
 
 __all__ = [
     "ParseError",
@@ -121,38 +122,17 @@ class ForecastSeries:
     samples: np.ndarray | None = None
 
     def __post_init__(self):
-        gaussian = self.means is not None or self.stds is not None
-        ensemble = self.samples is not None
-        if gaussian == ensemble:
-            raise ValueError("provide either means and stds, or samples")
+        arrays = forecast_arrays(self.means, self.stds, self.samples)
         times = tuple(int(t) for t in self.times)
-        if gaussian:
-            means = np.asarray(self.means, dtype=np.float64)
-            stds = np.asarray(self.stds, dtype=np.float64)
-            if means.ndim != 3 or means.shape != stds.shape:
-                raise ValueError("means and stds must both be T x H x W")
-            if not (np.all(np.isfinite(means)) and np.all(np.isfinite(stds))):
-                raise ValueError("forecast parameters must be finite")
-            if np.any(stds <= 0.0):
-                raise ValueError("nonpositive std in forecast grid")
-            shape = means.shape
-            means, stds = means.copy(), stds.copy()
-            means.flags.writeable = False
-            stds.flags.writeable = False
-            object.__setattr__(self, "means", means)
-            object.__setattr__(self, "stds", stds)
-        else:
-            samples = np.asarray(self.samples, dtype=np.float64)
-            if samples.ndim != 4 or samples.shape[3] < 2:
-                raise ValueError("samples must be T x H x W x k with k >= 2")
-            if not np.all(np.isfinite(samples)):
-                raise ValueError("forecast samples must be finite")
-            shape = samples.shape[:3]
-            samples = samples.copy()
-            samples.flags.writeable = False
-            object.__setattr__(self, "samples", samples)
-        if len(times) != shape[0]:
-            raise ValueError(f"{len(times)} times for {shape[0]} forecast slices")
+        if "means" in arrays and not (arrays["means"].ndim == 3 and arrays["means"].shape == arrays["stds"].shape):
+            raise ValueError("means and stds must both be T x H x W")
+        if "samples" in arrays and not (arrays["samples"].ndim == 4 and arrays["samples"].shape[3] >= 2):
+            raise ValueError("samples must be T x H x W x k with k >= 2")
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, arr)
+        n_slices = len(next(iter(arrays.values())))
+        if len(times) != n_slices:
+            raise ValueError(f"{len(times)} times for {n_slices} forecast slices")
         for i in range(1, len(times)):
             if times[i] <= times[i - 1]:
                 raise ValueError(f"out-of-order times: {times[i]} at position {i} follows {times[i - 1]}")
@@ -224,14 +204,25 @@ def _where(names, key) -> str:
     return "(" + ", ".join(f"{'t' if name == 'time' else name}={v}" for name, v in zip(names, key)) + ")"
 
 
+def _universal_newlines(text: str) -> str:
+    """CRLF and lone CR line ends as LF, as text-mode ``open`` reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def _read_grid(path, headers: tuple[str, ...]):
     """Parse a grid CSV whose header is one of ``headers``.
 
     Returns the header, the sorted distinct times and one dense array per
     value column, shaped T x H x W (x k for ensembles).
     """
-    with open(path, encoding="utf-8") as fh:
-        header, *lines = fh.read().split("\n")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
+                         line=_universal_newlines(data[:exc.start].decode("utf-8")).count("\n") + 1) from None
+    header, *lines = _universal_newlines(text).split("\n")
     if not header and not lines:
         raise ParseError("empty file, expected a header", line=1)
     if header not in headers:

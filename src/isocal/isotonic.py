@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IsotonicMap", "fit_isotonic"]
+__all__ = ["IsotonicMap", "fit_isotonic", "inverse_maps"]
 
 INTERPOLATION_MODES = ("linear", "step")
 
@@ -40,6 +40,8 @@ class IsotonicMap:
         vals = np.asarray(self.values, dtype=np.float64)
         if bp.ndim != 1 or bp.size == 0 or bp.shape != vals.shape:
             raise ValueError("breakpoints and values must be nonempty 1-d arrays of equal length")
+        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
+            raise ValueError("non-finite knot in calibration map")
         if np.any(bp < 0.0) or np.any(bp > 1.0) or np.any(vals < 0.0) or np.any(vals > 1.0):
             raise ValueError("calibration point out of unit square")
         if bp.size > 1 and np.any(np.diff(bp) <= 0.0):
@@ -78,27 +80,38 @@ class IsotonicMap:
         Returns 1.0 when ``p`` exceeds the map's maximum. Flat stretches
         resolve to their left endpoint. Scalar or array.
         """
-        p_in = np.asarray(p, dtype=np.float64)
-        if np.any(p_in < 0.0) or np.any(p_in > 1.0) or not np.all(np.isfinite(p_in)):
-            raise ValueError(f"inversion level outside [0, 1]: {p!r}")
-        scalar = p_in.ndim == 0
-        p_arr = np.atleast_1d(p_in)
-        vals = self.values
-        bp = self.breakpoints
-        j = np.searchsorted(vals, p_arr, side="left")
-        out = np.ones_like(p_arr, dtype=np.float64)
-        out[j == 0] = 0.0
-        interior = (j > 0) & (j < vals.size)
-        if np.any(interior):
-            ji = j[interior]
-            if self.interpolation == "linear":
-                v_lo = vals[ji - 1]
-                v_hi = vals[ji]
-                frac = (p_arr[interior] - v_lo) / (v_hi - v_lo)
-                out[interior] = bp[ji - 1] + frac * (bp[ji] - bp[ji - 1])
-            else:
-                out[interior] = bp[ji]
-        return float(out[0]) if scalar else out
+        out = inverse_maps((self,), p)[0]
+        return float(out[0]) if np.ndim(p) == 0 else out
+
+
+def inverse_maps(maps, p) -> np.ndarray:
+    """`IsotonicMap.inverse` of every map at every level: len(maps) x len(p).
+
+    All knots are concatenated and searched in one call. A knot is keyed by
+    the complex number (map index) + 1j * value, which numpy orders
+    lexicographically, so each level is located within its own map only.
+    """
+    p_in = np.asarray(p, dtype=np.float64)
+    if np.any(p_in < 0.0) or np.any(p_in > 1.0) or not np.all(np.isfinite(p_in)):
+        raise ValueError(f"inversion level outside [0, 1]: {p!r}")
+    p_arr = np.atleast_1d(p_in)
+    sizes = np.array([m.values.size for m in maps])
+    starts = np.cumsum(sizes) - sizes
+    ids = np.arange(len(maps))
+    vals = np.concatenate([m.values for m in maps])
+    bp = np.concatenate([m.breakpoints for m in maps])
+    keys = np.repeat(ids, sizes) + 1j * vals
+    g = np.searchsorted(keys, ids[:, None] + 1j * p_arr[None, :], side="left")
+    j = g - starts[:, None]
+    out = np.where(j == 0, 0.0, 1.0)
+    interior = (j > 0) & (j < sizes[:, None])
+    gi = g[interior]
+    step = np.array([m.interpolation == "step" for m in maps])[:, None]
+    v_lo = vals[gi - 1]
+    frac = (np.broadcast_to(p_arr, g.shape)[interior] - v_lo) / (vals[gi] - v_lo)
+    linear = bp[gi - 1] + frac * (bp[gi] - bp[gi - 1])
+    out[interior] = np.where(np.broadcast_to(step, g.shape)[interior], bp[gi], linear)
+    return out
 
 
 def _merge_ties(x: np.ndarray, y: np.ndarray, w: np.ndarray):

@@ -1,10 +1,13 @@
 """Forecast verification: coverage, reliability, calibration error,
 sharpness and median absolute error.
 
-Every function here is pure, takes forecasts as a flat sequence of
-predictive distributions, and accepts an optional calibrator (with an
-optional grid cell selecting the map under per-cell scope). Reductions
-run in fixed input order so repeated runs are bit-identical.
+Every function here is pure, takes forecasts as a `ForecastColumns` or a
+flat sequence of predictive distributions, and accepts an optional
+calibrator (with an optional grid cell selecting the map under per-cell
+scope). The calibrator's inverse turns each nominal level into the raw
+level at which the forecasts are read, and one quantile kernel reads all
+forecasts at all those levels. Reductions run in fixed input order so
+repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .predictive import Gaussian, PredictiveDist, quantile, std_normal_quantile, variance
+from .predictive import ForecastColumns, PredictiveDist, columns_by_kind, level_blocks
+from .predictive import quantile, variance  # noqa: F401  (perfbench/tracing.py counts calls to these names here)
 from .recalibration import SATURATION_LEVEL_HI, SATURATION_LEVEL_LO, CalibratedForecaster
 
 __all__ = [
@@ -33,8 +37,6 @@ CE_VARIANTS = ("signed", "absolute", "squared")
 SHARPNESS_GRID = 512
 _SHARPNESS_LEVELS = (np.arange(SHARPNESS_GRID) + 0.5) / SHARPNESS_GRID
 MAX_SATURATED_FRACTION = 0.05
-
-_GAUSSIAN_CHUNK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,35 +88,20 @@ def interval_coverage(lows, highs, observations) -> float:
     return float(np.count_nonzero((obs >= lo) & (obs <= hi))) / obs.size
 
 
-def _gaussian_params(forecasts) -> tuple[np.ndarray, np.ndarray] | None:
-    if all(isinstance(d, Gaussian) for d in forecasts):
-        means = np.array([d.mean for d in forecasts])
-        stds = np.array([d.std for d in forecasts])
-        return means, stds
-    return None
-
-
-def _quantile_bounds(forecasts, level: float, params) -> np.ndarray:
-    """Per-forecast quantiles at one raw level, vectorized when Gaussian."""
-    if params is not None:
-        means, stds = params
-        return means + stds * std_normal_quantile(level)
-    return np.array([quantile(d, level) for d in forecasts])
-
-
-def _raw_level(calibrator, cell, p: float) -> float:
+def _raw_levels(calibrator, cell, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Raw quantile levels that the calibrated ``levels`` map back to, and
+    which of them saturate (the inverse is exactly 0 or 1). Saturated
+    levels are clamped near the boundary."""
     if calibrator is None:
-        return p
-    raw = calibrator.map_for(cell).inverse(p)
-    if raw == 0.0:
-        return SATURATION_LEVEL_LO
-    if raw == 1.0:
-        return SATURATION_LEVEL_HI
-    return raw
+        return levels, np.zeros(levels.shape, dtype=bool)
+    raw = calibrator.inverse(levels, cell)
+    saturated = (raw == 0.0) | (raw == 1.0)
+    raw = np.where(raw == 0.0, SATURATION_LEVEL_LO, raw)
+    return np.where(raw == 1.0, SATURATION_LEVEL_HI, raw), saturated
 
 
 def reliability_curve(
-    forecasts: Sequence[PredictiveDist],
+    forecasts: Sequence[PredictiveDist] | ForecastColumns,
     observations: Sequence[float],
     levels: Sequence[float],
     calibrator: CalibratedForecaster | None = None,
@@ -130,12 +117,18 @@ def reliability_curve(
         raise ValueError("levels must lie strictly inside (0, 1)")
     if levels_arr.size > 1 and np.any(np.diff(levels_arr) <= 0.0):
         raise ValueError("levels must be strictly increasing")
-    params = _gaussian_params(forecasts)
-    empirical = np.empty_like(levels_arr)
-    for j, p in enumerate(levels_arr):
-        bounds = _quantile_bounds(forecasts, _raw_level(calibrator, cell, float(p)), params)
-        empirical[j] = coverage(bounds, observations)
-    return ReliabilityCurve(levels_arr, empirical, np.ones_like(levels_arr))
+    obs = np.asarray(observations, dtype=np.float64)
+    if len(forecasts) == 0:
+        raise ValueError("coverage of an empty set is undefined")
+    if len(forecasts) != obs.size:
+        raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
+    raw, _ = _raw_levels(calibrator, cell, levels_arr)
+    covered = np.zeros(raw.size, dtype=np.int64)
+    for rows, cols in columns_by_kind(forecasts):
+        obs_rows = obs[rows][:, None]
+        for block in level_blocks(len(cols), raw.size):
+            covered[block] += np.count_nonzero(obs_rows <= cols.quantiles(raw[block]), axis=0)
+    return ReliabilityCurve(levels_arr, covered / obs.size, np.ones_like(levels_arr))
 
 
 def calibration_error(curve: ReliabilityCurve, variant: str = "absolute") -> float:
@@ -155,59 +148,34 @@ def calibration_error(curve: ReliabilityCurve, variant: str = "absolute") -> flo
     return float(np.sum(curve.weights * dev) / curve.levels.size)
 
 
-def _calibrated_quantile_rows(forecasts, raw_levels, params):
-    """Yield per-forecast quantile vectors at the given raw levels."""
-    if params is not None:
-        means, stds = params
-        z = std_normal_quantile(raw_levels)
-        for start in range(0, means.size, _GAUSSIAN_CHUNK):
-            block = means[start:start + _GAUSSIAN_CHUNK, None] + stds[start:start + _GAUSSIAN_CHUNK, None] * z[None, :]
-            yield from block
-    else:
-        for d in forecasts:
-            if isinstance(d, Gaussian):
-                yield d.mean + d.std * std_normal_quantile(raw_levels)
-            else:
-                xs = d.samples
-                positions = (np.arange(xs.size) + 0.5) / xs.size
-                yield np.interp(raw_levels, positions, xs)
-
-
 def sharpness(
-    forecasts: Sequence[PredictiveDist],
+    forecasts: Sequence[PredictiveDist] | ForecastColumns,
     calibrator: CalibratedForecaster | None = None,
     cell: tuple[int, int] | None = None,
 ) -> float:
     """Mean forecast variance, after recalibration when a map is given.
 
-    The recalibrated variance has no closed form, so it is taken over the
-    quantiles at the 512 midpoint levels (i - 0.5)/512, making results
-    reproducible bit for bit. Exactly saturated levels are clamped near
-    the boundary; if more than 5% of the grid saturates for a forecast
-    the map is too flat for a meaningful spread and an error is raised.
+    The recalibrated variance is taken over the quantiles at the 512
+    midpoint levels (i - 0.5)/512, making results reproducible bit for
+    bit; for Gaussian forecasts it has the closed form s**2 Var(z) over
+    those levels. Exactly saturated levels are clamped near the boundary;
+    if more than 5% of the grid saturates the map is too flat for a
+    meaningful spread and an error naming the cell is raised.
     """
     if len(forecasts) == 0:
         raise ValueError("sharpness of an empty forecast set is undefined")
-    if calibrator is None:
-        return float(np.mean([variance(d) for d in forecasts]))
-
-    iso = calibrator.map_for(cell)
-    raw = iso.inverse(_SHARPNESS_LEVELS)
-    saturated = (raw == 0.0) | (raw == 1.0)
+    raw, saturated = _raw_levels(calibrator, cell, _SHARPNESS_LEVELS)
     if np.mean(saturated) > MAX_SATURATED_FRACTION:
-        raise ValueError("calibrator too degenerate for sharpness")
-    raw = np.where(raw == 0.0, SATURATION_LEVEL_LO, raw)
-    raw = np.where(raw == 1.0, SATURATION_LEVEL_HI, raw)
-
-    params = _gaussian_params(forecasts)
-    total = 0.0
-    for q in _calibrated_quantile_rows(forecasts, raw, params):
-        total += float(np.mean(q * q) - np.mean(q) ** 2)
-    return total / len(forecasts)
+        where = f" in cell ({cell[0]}, {cell[1]})" if calibrator.scope == "per_cell" else ""
+        raise ValueError(f"calibrator too degenerate for sharpness{where}")
+    spread = np.empty(len(forecasts))
+    for rows, cols in columns_by_kind(forecasts):
+        spread[rows] = cols.variance() if calibrator is None else cols.level_variance(raw)
+    return float(np.mean(spread))
 
 
 def mae_mid_quantile(
-    forecasts: Sequence[PredictiveDist],
+    forecasts: Sequence[PredictiveDist] | ForecastColumns,
     observations: Sequence[float],
     calibrator: CalibratedForecaster | None = None,
     cell: tuple[int, int] | None = None,
@@ -216,8 +184,10 @@ def mae_mid_quantile(
     obs = np.asarray(observations, dtype=np.float64)
     if obs.size == 0 or len(forecasts) != obs.size:
         raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
-    params = _gaussian_params(forecasts)
-    medians = _quantile_bounds(forecasts, _raw_level(calibrator, cell, 0.5), params)
+    raw, _ = _raw_levels(calibrator, cell, np.array([0.5]))
+    medians = np.empty(obs.size)
+    for rows, cols in columns_by_kind(forecasts):
+        medians[rows] = cols.quantiles(raw)[:, 0]
     return float(np.mean(np.abs(obs - medians)))
 
 

@@ -1,8 +1,11 @@
-"""Predictive distributions for a single scalar target.
+"""Predictive distributions for a scalar target, one by one or as columns.
 
 A forecaster reports either Gaussian parameters or an ensemble of sampled
-values. Both are wrapped in immutable objects supporting CDF, quantile and
-variance queries; every operation is pure, so instances can be shared
+values. `ForecastColumns` holds n forecasts of one kind as arrays (means
+and stds, or sorted samples n x k), and its kernels answer CDF, quantile
+and variance queries for all n at once. `Gaussian` and `Empirical` wrap a
+single forecast; `cdf`, `quantile` and `variance` on them run the same
+kernels on one row. Every operation is pure, so instances can be shared
 freely across threads.
 """
 
@@ -17,6 +20,7 @@ from scipy.special import ndtr, ndtri
 __all__ = [
     "Gaussian",
     "Empirical",
+    "ForecastColumns",
     "PredictiveDist",
     "std_normal_cdf",
     "std_normal_quantile",
@@ -24,7 +28,13 @@ __all__ = [
     "quantile",
     "variance",
     "from_samples",
+    "columns_by_kind",
+    "forecast_arrays",
+    "level_blocks",
 ]
+
+# Upper bound on the quantiles a kernel caller holds at once (n x levels).
+_BLOCK = 1 << 16
 
 
 def std_normal_cdf(x):
@@ -45,6 +55,23 @@ def std_normal_quantile(p):
     p must lie strictly inside (0, 1).
     """
     return ndtri(p)
+
+
+def forecast_arrays(means=None, stds=None, samples=None) -> dict[str, np.ndarray]:
+    """Read-only float64 copies of one kind of forecast parameters, by name:
+    ``means`` and ``stds``, or ``samples``. Every value must be finite and
+    every std positive."""
+    if (means is None) != (stds is None) or (means is None) == (samples is None):
+        raise ValueError("provide either means and stds, or samples")
+    given = {"samples": samples} if means is None else {"means": means, "stds": stds}
+    arrays = {name: np.array(value, dtype=np.float64) for name, value in given.items()}
+    for name, arr in arrays.items():
+        if not np.isfinite(arr).all():
+            raise ValueError(f"invalid input value: non-finite forecast {name}")
+        arr.flags.writeable = False
+    if means is not None and (arrays["stds"] <= 0.0).any():
+        raise ValueError(f"nonpositive std: {arrays['stds'][arrays['stds'] <= 0.0][0]}")
+    return arrays
 
 
 @dataclass(frozen=True)
@@ -88,45 +115,170 @@ class Empirical:
 PredictiveDist = Gaussian | Empirical
 
 
+def level_blocks(n_rows: int, n_levels: int) -> list[slice]:
+    """Consecutive level ranges small enough that n_rows x range quantiles
+    stay within a fixed budget."""
+    step = max(1, _BLOCK // max(n_rows, 1))
+    return [slice(start, start + step) for start in range(0, n_levels, step)]
+
+
+@dataclass(frozen=True, eq=False)
+class ForecastColumns:
+    """n forecasts of one kind as arrays, the form every kernel works on.
+
+    Gaussian forecasts carry 1-d ``means`` and ``stds``; ensembles carry
+    ``samples``, n x k members, stored sorted along each row. Row i is
+    forecast i, and kernels return one row per forecast.
+    """
+
+    means: np.ndarray | None = None
+    stds: np.ndarray | None = None
+    samples: np.ndarray | None = None
+
+    def __post_init__(self):
+        samples = None if self.samples is None else np.sort(self.samples, axis=-1)
+        arrays = forecast_arrays(self.means, self.stds, samples)
+        if samples is None and not (arrays["means"].ndim == 1 and arrays["means"].shape == arrays["stds"].shape):
+            raise ValueError("means and stds must be 1-d arrays of equal length")
+        if samples is not None and not (samples.ndim == 2 and samples.shape[1] > 0):
+            raise ValueError("samples must be an n x k array with k >= 1")
+        for name, arr in arrays.items():
+            object.__setattr__(self, name, arr)
+
+    def __len__(self) -> int:
+        return len(self.means if self.samples is None else self.samples)
+
+    def __getitem__(self, rows) -> ForecastColumns:
+        if self.samples is None:
+            return ForecastColumns(means=self.means[rows], stds=self.stds[rows])
+        return ForecastColumns(samples=self.samples[rows])
+
+    @staticmethod
+    def concat(parts) -> ForecastColumns:
+        """Rows of several columns of the same kind, one after another."""
+        parts = list(parts)
+        if parts[0].samples is None:
+            return ForecastColumns(means=np.concatenate([c.means for c in parts]),
+                                   stds=np.concatenate([c.stds for c in parts]))
+        return ForecastColumns(samples=np.concatenate([c.samples for c in parts]))
+
+    def cdf(self, y) -> np.ndarray:
+        """Each forecast's CDF at its own outcome: ``y`` has one entry per row.
+
+        Ensembles follow the interpolated plotting-position convention:
+        piecewise linear through (x_(j), (j - 0.5)/k), 0 below the smallest
+        member and 1 above the largest.
+        """
+        y = np.asarray(y, dtype=np.float64)
+        if self.samples is None:
+            return std_normal_cdf((y - self.means) / self.stds)
+        xs = self.samples
+        k = xs.shape[1]
+        rows = np.arange(len(xs))
+        at_or_below = np.count_nonzero(xs <= y[:, None], axis=1)
+        lo = xs[rows, np.maximum(at_or_below - 1, 0)]
+        hi = xs[rows, np.minimum(at_or_below, k - 1)]
+        p_lo = (at_or_below - 0.5) / k
+        p_hi = (at_or_below + 0.5) / k
+        between = (at_or_below > 0) & (at_or_below < k) & (lo != y)
+        frac = np.where(between, y - lo, 0.0) / np.where(between, hi - lo, 1.0)
+        out = p_lo + frac * (p_hi - p_lo)  # p_lo itself where y is a member
+        out[at_or_below == 0] = 0.0
+        out[(at_or_below == k) & (lo != y)] = 1.0
+        return out
+
+    def quantiles(self, p) -> np.ndarray:
+        """Quantile of every forecast at every level in ``p``: n x len(p).
+
+        Ensembles interpolate linearly through (x_(j), (j + 0.5)/k), with the
+        arithmetic of ``np.interp``, and clamp to the extreme members outside
+        that range; every row shares the k plotting positions.
+        """
+        p = np.asarray(p, dtype=np.float64)
+        if self.samples is None:
+            return self.means[:, None] + self.stds[:, None] * std_normal_quantile(p)
+        xs = self.samples
+        k = xs.shape[1]
+        if k == 1:
+            return np.repeat(xs, p.size, axis=1)
+        positions = (np.arange(k) + 0.5) / k
+        j = np.searchsorted(positions, p, side="right") - 1
+        at = np.maximum(j, 0)
+        between = (j >= 0) & (j < k - 1) & (positions[at] != p)
+        j = np.minimum(at, k - 2)
+        lo = xs[:, j]
+        slope = (xs[:, j + 1] - lo) / (positions[j + 1] - positions[j])
+        return np.where(between, slope * (p - positions[j]) + lo, xs[:, at])
+
+    def variance(self) -> np.ndarray:
+        """Each forecast's variance: std**2, or the population variance of
+        its members (two-pass, so a common shift leaves it unchanged)."""
+        if self.samples is None:
+            return self.stds * self.stds
+        dev = self.samples - self.samples.mean(axis=1, keepdims=True)
+        return (dev * dev).mean(axis=1)
+
+    def level_variance(self, p) -> np.ndarray:
+        """Each forecast's variance of its quantiles over the levels ``p``.
+
+        Gaussian quantiles are m + s z(p), so this is s**2 Var(z) in closed
+        form. Ensembles take two passes over blocks of levels, the mean and
+        then the centred squares, and never hold all n x len(p) quantiles.
+        """
+        p = np.asarray(p, dtype=np.float64)
+        if self.samples is None:
+            return self.stds * self.stds * np.var(std_normal_quantile(p))
+        blocks = level_blocks(len(self), p.size)
+        mean = sum(self.quantiles(p[b]).sum(axis=1) for b in blocks) / p.size
+        return sum(np.square(self.quantiles(p[b]) - mean[:, None]).sum(axis=1) for b in blocks) / p.size
+
+
+def columns_by_kind(forecasts) -> list[tuple[slice | np.ndarray, ForecastColumns]]:
+    """Forecasts as (positions, columns) pairs, one pair per kind.
+
+    A `ForecastColumns`, or a sequence of one kind, is a single pair covering
+    every position. A mixed sequence splits into its Gaussians and its
+    ensembles of each size, with the positions each pair came from.
+    """
+    if isinstance(forecasts, ForecastColumns):
+        return [(slice(None), forecasts)]
+    groups: dict[int, list[int]] = {}
+    for i, d in enumerate(forecasts):
+        groups.setdefault(0 if isinstance(d, Gaussian) else d.samples.size, []).append(i)
+    pairs = []
+    for size, positions in groups.items():
+        dists = [forecasts[i] for i in positions]
+        if size == 0:
+            cols = ForecastColumns(means=[d.mean for d in dists], stds=[d.std for d in dists])
+        else:
+            cols = ForecastColumns(samples=np.stack([d.samples for d in dists]))
+        pairs.append((slice(None) if len(groups) == 1 else np.asarray(positions), cols))
+    return pairs
+
+
+def _columns(d: PredictiveDist) -> ForecastColumns:
+    if isinstance(d, Gaussian):
+        return ForecastColumns(means=[d.mean], stds=[d.std])
+    return ForecastColumns(samples=d.samples[None, :])
+
+
 def cdf(d: PredictiveDist, y: float) -> float:
     """Probability the outcome does not exceed ``y`` under forecast ``d``."""
     if not math.isfinite(y):
         raise ValueError("invalid input value: y must be finite")
-    if isinstance(d, Gaussian):
-        return float(std_normal_cdf((y - d.mean) / d.std))
-    xs = d.samples
-    n = xs.size
-    k = int(np.searchsorted(xs, y, side="right"))
-    if k == 0:
-        return 0.0
-    if xs[k - 1] == y:
-        return (k - 0.5) / n
-    if k == n:
-        return 1.0
-    p_lo = (k - 0.5) / n
-    p_hi = (k + 0.5) / n
-    frac = (y - xs[k - 1]) / (xs[k] - xs[k - 1])
-    return float(min(max(p_lo + frac * (p_hi - p_lo), 0.0), 1.0))
+    return float(_columns(d).cdf([y])[0])
 
 
 def quantile(d: PredictiveDist, p: float) -> float:
     """Smallest value whose forecast CDF reaches level ``p``, 0 < p < 1."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile level out of range: {p}")
-    if isinstance(d, Gaussian):
-        return float(d.mean + d.std * std_normal_quantile(p))
-    xs = d.samples
-    n = xs.size
-    positions = (np.arange(n) + 0.5) / n
-    return float(np.interp(p, positions, xs))
+    return float(_columns(d).quantiles([p])[0, 0])
 
 
 def variance(d: PredictiveDist) -> float:
     """Variance of the forecast: std**2, or population variance of samples."""
-    if isinstance(d, Gaussian):
-        return d.std * d.std
-    xs = d.samples
-    return float(np.mean(xs * xs) - np.mean(xs) ** 2)
+    return float(_columns(d).variance()[0])
 
 
 def from_samples(samples, fit_gaussian: bool = False) -> PredictiveDist:

@@ -25,14 +25,14 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .gridio import ForecastSeries, GridSeries
-from .isotonic import IsotonicMap, fit_isotonic
-from .predictive import PredictiveDist, cdf, quantile
+from .isotonic import IsotonicMap, fit_isotonic, inverse_maps
+from .predictive import ForecastColumns, PredictiveDist, cdf, columns_by_kind, quantile
 
 __all__ = [
     "CalibrationPair",
@@ -61,6 +61,9 @@ DEFAULT_MIN_POINTS_PER_CELL = 30
 SATURATION_LEVEL_LO = 1e-6
 SATURATION_LEVEL_HI = 1.0 - 1e-6
 
+# Level sets whose inverse tables a forecaster keeps (see `inverse`).
+_INVERSES_KEPT = 4
+
 
 class CalibrationPair(NamedTuple):
     c: float  # CDF value the forecast assigned to the outcome
@@ -75,7 +78,7 @@ class CalibratedQuantile(NamedTuple):
 class GridCellData(NamedTuple):
     row: int
     col: int
-    forecasts: list[PredictiveDist]
+    forecasts: ForecastColumns
     observations: np.ndarray
 
 
@@ -91,14 +94,9 @@ def empirical_cdf_level(cs: Sequence[float], p: float) -> float:
     return float(np.count_nonzero(arr < p)) / arr.size
 
 
-def build_calibration_dataset(
-    forecasts: Sequence[PredictiveDist], observations: Sequence[float]
-) -> list[CalibrationPair]:
-    """Pair each forecast's CDF value at the outcome with its empirical level.
-
-    Output order matches input order. Ties among CDF values count strictly,
-    so tied points share the empirical level of their common value.
-    """
+def _pit_levels(forecasts, observations) -> tuple[np.ndarray, np.ndarray]:
+    """Each forecast's CDF value at its outcome, and the fraction of CDF
+    values strictly below it; ties share the level of their common value."""
     obs = np.asarray(observations, dtype=np.float64)
     if len(forecasts) != obs.size:
         raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
@@ -106,10 +104,23 @@ def build_calibration_dataset(
         raise ValueError("calibration set too small: need at least 2 points")
     if not np.all(np.isfinite(obs)):
         raise ValueError("invalid input value: non-finite observation")
-    c = np.array([cdf(d, float(y)) for d, y in zip(forecasts, obs)])
+    c = np.empty(obs.size)
+    for rows, cols in columns_by_kind(forecasts):
+        c[rows] = cols.cdf(obs[rows])
     # Strictly-below counts for all points at once via the sorted copy.
-    y_levels = np.searchsorted(np.sort(c), c, side="left") / c.size
-    return [CalibrationPair(float(ci), float(yi)) for ci, yi in zip(c, y_levels)]
+    return c, np.searchsorted(np.sort(c), c, side="left") / c.size
+
+
+def build_calibration_dataset(
+    forecasts: Sequence[PredictiveDist] | ForecastColumns, observations: Sequence[float]
+) -> list[CalibrationPair]:
+    """Pair each forecast's CDF value at the outcome with its empirical level.
+
+    Output order matches input order. Ties among CDF values count strictly,
+    so tied points share the empirical level of their common value.
+    """
+    c, y = _pit_levels(forecasts, observations)
+    return [CalibrationPair(float(ci), float(yi)) for ci, yi in zip(c, y)]
 
 
 @dataclass(frozen=True)
@@ -120,6 +131,7 @@ class CalibratedForecaster:
     maps: tuple[IsotonicMap, ...]
     h: int = 0
     w: int = 0
+    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scope not in ("pooled", "per_cell"):
@@ -127,6 +139,8 @@ class CalibratedForecaster:
         if self.scope == "pooled":
             if len(self.maps) != 1:
                 raise ValueError("pooled scope carries exactly one map")
+            if self.h != 0 or self.w != 0:
+                raise ValueError(f"pooled scope carries h = w = 0, got {self.h}x{self.w}")
         else:
             if self.h < 1 or self.w < 1:
                 raise ValueError("per_cell scope needs positive grid dims")
@@ -137,43 +151,65 @@ class CalibratedForecaster:
     def interpolation(self) -> str:
         return self.maps[0].interpolation
 
-    def map_for(self, cell: tuple[int, int] | None) -> IsotonicMap:
-        """The map governing ``cell`` (ignored under pooled scope)."""
+    def _map_index(self, cell: tuple[int, int] | None) -> int:
         if self.scope == "pooled":
-            return self.maps[0]
+            return 0
         if cell is None:
             raise ValueError("per_cell calibrator requires a cell")
         r, c = cell
         if not (0 <= r < self.h and 0 <= c < self.w):
             raise ValueError(f"cell out of range: ({r}, {c}) for {self.h}x{self.w} grid")
-        return self.maps[r * self.w + c]
+        return r * self.w + c
+
+    def map_for(self, cell: tuple[int, int] | None) -> IsotonicMap:
+        """The map governing ``cell`` (ignored under pooled scope)."""
+        return self.maps[self._map_index(cell)]
+
+    def inverse(self, levels, cell: tuple[int, int] | None = None) -> np.ndarray:
+        """``map_for(cell).inverse(levels)`` for a 1-d array of levels.
+
+        The first request for a set of levels inverts every map at once,
+        in one batched `inverse_maps` call; later cells asking for the same
+        levels read their row of that table. The tables of the last few
+        level sets are kept.
+        """
+        levels = np.asarray(levels, dtype=np.float64)
+        key = levels.tobytes()
+        table = self._inverses.get(key)
+        if table is None:
+            if len(self._inverses) >= _INVERSES_KEPT:
+                self._inverses.clear()
+            table = self._inverses[key] = inverse_maps(self.maps, levels)
+        return table[self._map_index(cell)]
 
 
 def grid_points(forecasts: ForecastSeries, observations: GridSeries) -> list[GridCellData]:
     """Align a forecast grid with an observation grid, cell by cell.
 
-    Time steps with a missing observation are dropped from that cell's
-    series. Raises on any dimension or time-axis mismatch.
+    Cells come in row-major order, each with its valid time steps in time
+    order; time steps with a missing observation are dropped from that
+    cell's series. Every cell's forecasts are a slice of one set of
+    columns. Raises on any dimension or time-axis mismatch.
     """
     if (forecasts.h, forecasts.w) != (observations.h, observations.w):
         raise ValueError(f"grid dimension mismatch: forecasts {forecasts.h}x{forecasts.w}, "
                          f"observations {observations.h}x{observations.w}")
     if forecasts.times != observations.times:
         raise ValueError("forecast and observation time axes differ")
-    mask = observations.mask
-    cells = []
-    for r in range(observations.h):
-        for c in range(observations.w):
-            valid = np.flatnonzero(mask[:, r, c])
-            dists = [forecasts.dist(int(ti), r, c) for ti in valid]
-            cells.append(GridCellData(r, c, dists, observations.values[valid, r, c]))
-    return cells
+    valid = np.moveaxis(observations.mask, 0, -1)  # H x W x T, cell-major
+    if forecasts.kind == "gaussian":
+        cols = ForecastColumns(means=np.moveaxis(forecasts.means, 0, -1)[valid],
+                               stds=np.moveaxis(forecasts.stds, 0, -1)[valid])
+    else:
+        cols = ForecastColumns(samples=np.sort(np.moveaxis(forecasts.samples, 0, 2)[valid], axis=1))
+    obs = np.moveaxis(observations.values, 0, -1)[valid]
+    ends = np.cumsum(valid.sum(axis=2).ravel()).tolist()
+    return [GridCellData(r, c, cols[start:end], obs[start:end])
+            for (r, c), start, end in zip(np.ndindex(valid.shape[:2]), [0] + ends, ends)]
 
 
 def _fit_map(forecasts, observations, interpolation: str) -> IsotonicMap:
-    pairs = build_calibration_dataset(forecasts, observations)
-    c = np.array([p.c for p in pairs])
-    y = np.array([p.y for p in pairs])
+    c, y = _pit_levels(forecasts, observations)
     return fit_isotonic(c, y, interpolation=interpolation)
 
 
@@ -202,7 +238,9 @@ def fit_calibrator(
     if not gridded:
         if scope == "per_cell":
             raise ValueError("per_cell scope requires gridded inputs")
-        return CalibratedForecaster("pooled", (_fit_map(list(forecasts), observations, interpolation),))
+        if not isinstance(forecasts, ForecastColumns):
+            forecasts = list(forecasts)
+        return CalibratedForecaster("pooled", (_fit_map(forecasts, observations, interpolation),))
 
     cells = grid_points(forecasts, observations)
     n_incomplete = sum(1 for cell in cells if len(cell.forecasts) < len(observations.times))
@@ -210,9 +248,9 @@ def fit_calibrator(
         logger.info("%d of %d cells have missing observations excluded from fitting",
                     n_incomplete, len(cells))
     if scope == "pooled":
-        dists = [d for cell in cells for d in cell.forecasts]
+        cols = ForecastColumns.concat(cell.forecasts for cell in cells)
         obs = np.concatenate([cell.observations for cell in cells])
-        return CalibratedForecaster("pooled", (_fit_map(dists, obs, interpolation),))
+        return CalibratedForecaster("pooled", (_fit_map(cols, obs, interpolation),))
 
     maps = []
     for cell in cells:
@@ -285,14 +323,26 @@ def load_model(path) -> CalibratedForecaster:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed model file: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("version") != MODEL_VERSION:
+    if not isinstance(doc, dict):
+        raise ValueError(f"malformed model file: expected a JSON object, got {type(doc).__name__}")
+    if doc.get("version") != MODEL_VERSION:
         raise ValueError(f"unsupported model version: {doc.get('version')!r}")
     for key in ("scope", "h", "w", "interpolation", "maps"):
         if key not in doc:
             raise ValueError(f"model file missing field {key!r}")
-    interpolation = doc["interpolation"]
-    maps = tuple(
-        IsotonicMap(np.asarray(m["breakpoints"]), np.asarray(m["values"]), interpolation)
-        for m in doc["maps"]
-    )
-    return CalibratedForecaster(doc["scope"], maps, h=int(doc["h"]), w=int(doc["w"]))
+    for key in ("h", "w"):
+        if type(doc[key]) is not int:
+            raise ValueError(f"model field {key!r} must be an integer, got {doc[key]!r}")
+    if not isinstance(doc["maps"], list):
+        raise ValueError("model field 'maps' must be a list")
+    maps = []
+    for i, m in enumerate(doc["maps"]):
+        if not (isinstance(m, dict) and isinstance(m.get("breakpoints"), list)
+                and isinstance(m.get("values"), list)):
+            raise ValueError(f"model map {i} needs 'breakpoints' and 'values' lists")
+        try:
+            knots = [np.asarray(m[key], dtype=np.float64) for key in ("breakpoints", "values")]
+        except (TypeError, ValueError):
+            raise ValueError(f"model map {i} has a knot that is not a number") from None
+        maps.append(IsotonicMap(*knots, doc["interpolation"]))
+    return CalibratedForecaster(doc["scope"], tuple(maps), h=doc["h"], w=doc["w"])
