@@ -71,16 +71,13 @@ def _parse_levels(spec: str) -> np.ndarray:
         if ":" in spec:
             start, stop, step = (float(x) for x in spec.split(":"))
             count = int(round((stop - start) / step)) + 1
-        else:
-            count = spec.count(",") + 1
-        if count > MAX_LEVELS:
-            raise argparse.ArgumentTypeError(f"more than {MAX_LEVELS} levels: {spec!r}")
-        if ":" in spec:
-            levels = [round(start + i * step, 10) for i in range(count)]
+            levels = [round(start + i * step, 10) for i in range(min(count, MAX_LEVELS + 1))]
         else:
             levels = [round(float(x), 10) for x in spec.split(",")]
     except (ValueError, ZeroDivisionError, OverflowError):
         raise argparse.ArgumentTypeError(f"bad levels spec: {spec!r}") from None
+    if len(levels) > MAX_LEVELS:
+        raise argparse.ArgumentTypeError(f"more than {MAX_LEVELS} levels: {spec!r}")
     arr = np.asarray(levels, dtype=np.float64)
     if arr.size == 0 or np.any(arr <= 0.0) or np.any(arr >= 1.0) or np.any(np.diff(arr) <= 0.0):
         raise argparse.ArgumentTypeError(

@@ -18,11 +18,11 @@ as the token ``NaN`` and tracked by a validity mask; forecast files must
 be fully populated with strictly positive spreads. Reads and writes
 round-trip at full double precision.
 
-A bad file reports one error. The first byte that is not UTF-8 is
-reported before anything else, on its line. A wrong field count on any
-line is found before any value is parsed; otherwise the earliest line
-with a problem wins, and within that line the leftmost bad column, then
-a nonpositive ``std``, then a duplicate key. Errors about the grid as a whole (fewer
+A bad file reports one error. A wrong field count on any line is found
+before any value is parsed; otherwise the earliest line with a problem
+wins, and within that line the leftmost bad column (a byte that is not
+UTF-8 makes its field bad), then a nonpositive ``std``, then a duplicate
+key. Errors about the grid as a whole (fewer
 than two ensemble members, a missing point) come after every line error
 and name no line. Completeness is checked on the sorted keys before the
 dense grid is allocated, so a stray index costs no memory.
@@ -204,25 +204,16 @@ def _where(names, key) -> str:
     return "(" + ", ".join(f"{'t' if name == 'time' else name}={v}" for name, v in zip(names, key)) + ")"
 
 
-def _universal_newlines(text: str) -> str:
-    """CRLF and lone CR line ends as LF, as text-mode ``open`` reads them."""
-    return text.replace("\r\n", "\n").replace("\r", "\n")
-
-
 def _read_grid(path, headers: tuple[str, ...]):
     """Parse a grid CSV whose header is one of ``headers``.
 
     Returns the header, the sorted distinct times and one dense array per
     value column, shaped T x H x W (x k for ensembles).
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"invalid UTF-8 byte 0x{data[exc.start]:02x}",
-                         line=_universal_newlines(data[:exc.start].decode("utf-8")).count("\n") + 1) from None
-    header, *lines = _universal_newlines(text).split("\n")
+    # A byte that is not UTF-8 decodes to a lone surrogate, which no field
+    # accepts, so it is reported like any other bad token on its line.
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        header, *lines = fh.read().split("\n")
     if not header and not lines:
         raise ParseError("empty file, expected a header", line=1)
     if header not in headers:

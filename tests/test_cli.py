@@ -171,6 +171,61 @@ class TestEvaluateCommand:
                    "--observations", alpha2_files / "test_obs.csv",
                    "--levels", "0:1:0.5") == 1
 
+    def test_level_count_is_capped(self, alpha2_files, capsys):
+        assert run("evaluate", "--forecasts", alpha2_files / "test_fc.csv",
+                   "--observations", alpha2_files / "test_obs.csv",
+                   "--levels", "0:1:1e-12") == 1
+        assert "more than 1000 levels" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_metric_is_an_error_not_json_nan(self, tmp_path, capsys):
+        fc = tmp_path / "fc.csv"
+        fc.write_text("time,row,col,mean,std\n0,0,0,0.0,1e200\n1,0,0,0.0,1e200\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,row,col,value\n0,0,0,0.5\n1,0,0,1.0\n")
+        assert run("evaluate", "--forecasts", fc, "--observations", obs) == 3
+        assert "not JSON compliant" in capsys.readouterr().err
+
+
+class TestModelFileValidation:
+    """A bad model file is a one-line error with exit code 3."""
+
+    @staticmethod
+    def evaluate_with(alpha2_files, tmp_path, capsys, doc):
+        model = tmp_path / "model.json"
+        model.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        capsys.readouterr()
+        code = run("evaluate", "--forecasts", alpha2_files / "test_fc.csv",
+                   "--observations", alpha2_files / "test_obs.csv", "--model", model)
+        err = capsys.readouterr().err
+        assert err.startswith("isocal: error: ") and err.count("\n") == 1
+        return code, err
+
+    @staticmethod
+    def pooled(**changes):
+        doc = {"version": 1, "scope": "pooled", "h": 0, "w": 0, "interpolation": "linear",
+               "maps": [{"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 0.5, 1.0]}]}
+        doc.update(changes)
+        return doc
+
+    def test_top_level_list(self, alpha2_files, tmp_path, capsys):
+        code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, "[1]")
+        assert code == 3 and "expected a JSON object" in err
+
+    def test_map_without_breakpoints(self, alpha2_files, tmp_path, capsys):
+        doc = self.pooled(maps=[{"values": [0.0, 1.0]}])
+        code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, doc)
+        assert code == 3 and "model map 0 needs 'breakpoints' and 'values'" in err
+
+    def test_pooled_model_with_grid_dims(self, alpha2_files, tmp_path, capsys):
+        code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, self.pooled(h=2, w=3))
+        assert code == 3 and "pooled scope carries h = w = 0" in err
+
+    def test_nan_knot(self, alpha2_files, tmp_path, capsys):
+        text = json.dumps(self.pooled()).replace('"values": [0.0, 0.5', '"values": [0.0, NaN')
+        code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, text)
+        assert code == 3 and "non-finite knot" in err
+
 
 class TestReliabilityCommand:
     def test_writes_curve(self, alpha2_files, tmp_path):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from typing import Callable, NamedTuple
 
@@ -241,6 +242,14 @@ class TestFirstError:
         else:
             with pytest.raises(ParseError, match=f"^line 2: {value_name} may not be NaN$"):
                 self.read(tmp_path, fmt, [rec(0, 0, 0, "NaN")])
+
+    def test_non_utf8_byte_is_a_bad_field_on_its_line(self, tmp_path, fmt):
+        rec, value_name = fmt.record, fmt.value_name
+        text = "\n".join([fmt.header, rec(0, 0, 0, "1.0"), rec(0, 0, 1, "1.0"), rec(0, 0, 2, "@")])
+        path = tmp_path / "grid.csv"
+        path.write_bytes(text.encode().replace(b"@", b"\xff"))
+        with pytest.raises(ParseError, match="^line 4: " + re.escape(f"invalid {value_name}: '\\udcff'") + "$"):
+            fmt.reader(path)
 
     def test_zero_std_names_value(self, tmp_path):
         with pytest.raises(ParseError, match=r"^line 2: nonpositive std: 0\.0$"):
