@@ -22,7 +22,6 @@ import numpy as np
 
 from . import gridio
 from .gridio import ParseError, read_forecasts, read_observations
-from .predictive import ForecastColumns
 from .metrics import (
     ReliabilityCurve,
     calibration_error,
@@ -31,6 +30,7 @@ from .metrics import (
     sharpness,
     write_reliability_csv,
 )
+from .predictive import ForecastColumns
 from .recalibration import fit_calibrator, grid_points, load_model, save_model
 from .synth import SynthConfig, generate_gridded
 

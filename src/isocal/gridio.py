@@ -124,9 +124,10 @@ class ForecastSeries:
     def __post_init__(self):
         arrays = forecast_arrays(self.means, self.stds, self.samples)
         times = tuple(int(t) for t in self.times)
-        if "means" in arrays and not (arrays["means"].ndim == 3 and arrays["means"].shape == arrays["stds"].shape):
-            raise ValueError("means and stds must both be T x H x W")
-        if "samples" in arrays and not (arrays["samples"].ndim == 4 and arrays["samples"].shape[3] >= 2):
+        if self.samples is None:
+            if not (arrays["means"].ndim == 3 and arrays["means"].shape == arrays["stds"].shape):
+                raise ValueError("means and stds must both be T x H x W")
+        elif not (arrays["samples"].ndim == 4 and arrays["samples"].shape[3] >= 2):
             raise ValueError("samples must be T x H x W x k with k >= 2")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)

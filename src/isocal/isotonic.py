@@ -104,13 +104,13 @@ def inverse_maps(maps, p) -> np.ndarray:
     g = np.searchsorted(keys, ids[:, None] + 1j * p_arr[None, :], side="left")
     j = g - starts[:, None]
     out = np.where(j == 0, 0.0, 1.0)
-    interior = (j > 0) & (j < sizes[:, None])
-    gi = g[interior]
-    step = np.array([m.interpolation == "step" for m in maps])[:, None]
+    rows, cols = np.nonzero((j > 0) & (j < sizes[:, None]))
+    gi = g[rows, cols]
     v_lo = vals[gi - 1]
-    frac = (np.broadcast_to(p_arr, g.shape)[interior] - v_lo) / (vals[gi] - v_lo)
+    frac = (p_arr[cols] - v_lo) / (vals[gi] - v_lo)
     linear = bp[gi - 1] + frac * (bp[gi] - bp[gi - 1])
-    out[interior] = np.where(np.broadcast_to(step, g.shape)[interior], bp[gi], linear)
+    step = np.array([m.interpolation == "step" for m in maps])[rows]
+    out[rows, cols] = np.where(step, bp[gi], linear)
     return out
 
 

@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .predictive import ForecastColumns, PredictiveDist, columns_by_kind, level_blocks
-from .predictive import quantile, variance  # noqa: F401  (perfbench/tracing.py counts calls to these names here)
+# perfbench/tracing.py counts calls made through these names of this module.
+from .predictive import quantile, variance  # noqa: F401
 from .recalibration import SATURATION_LEVEL_HI, SATURATION_LEVEL_LO, CalibratedForecaster
 
 __all__ = [

@@ -138,9 +138,10 @@ class ForecastColumns:
     def __post_init__(self):
         samples = None if self.samples is None else np.sort(self.samples, axis=-1)
         arrays = forecast_arrays(self.means, self.stds, samples)
-        if samples is None and not (arrays["means"].ndim == 1 and arrays["means"].shape == arrays["stds"].shape):
-            raise ValueError("means and stds must be 1-d arrays of equal length")
-        if samples is not None and not (samples.ndim == 2 and samples.shape[1] > 0):
+        if samples is None:
+            if not (arrays["means"].ndim == 1 and arrays["means"].shape == arrays["stds"].shape):
+                raise ValueError("means and stds must be 1-d arrays of equal length")
+        elif not (samples.ndim == 2 and samples.shape[1] > 0):
             raise ValueError("samples must be an n x k array with k >= 1")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
@@ -190,7 +191,7 @@ class ForecastColumns:
     def quantiles(self, p) -> np.ndarray:
         """Quantile of every forecast at every level in ``p``: n x len(p).
 
-        Ensembles interpolate linearly through (x_(j), (j + 0.5)/k), with the
+        Ensembles interpolate linearly through (x_(j), (j - 0.5)/k), with the
         arithmetic of ``np.interp``, and clamp to the extreme members outside
         that range; every row shares the k plotting positions.
         """
@@ -230,7 +231,8 @@ class ForecastColumns:
             return self.stds * self.stds * np.var(std_normal_quantile(p))
         blocks = level_blocks(len(self), p.size)
         mean = sum(self.quantiles(p[b]).sum(axis=1) for b in blocks) / p.size
-        return sum(np.square(self.quantiles(p[b]) - mean[:, None]).sum(axis=1) for b in blocks) / p.size
+        squares = sum(np.square(self.quantiles(p[b]) - mean[:, None]).sum(axis=1) for b in blocks)
+        return squares / p.size
 
 
 def columns_by_kind(forecasts) -> list[tuple[slice | np.ndarray, ForecastColumns]]:

@@ -201,7 +201,7 @@ def grid_points(forecasts: ForecastSeries, observations: GridSeries) -> list[Gri
         cols = ForecastColumns(means=np.moveaxis(forecasts.means, 0, -1)[valid],
                                stds=np.moveaxis(forecasts.stds, 0, -1)[valid])
     else:
-        cols = ForecastColumns(samples=np.sort(np.moveaxis(forecasts.samples, 0, 2)[valid], axis=1))
+        cols = ForecastColumns(samples=np.moveaxis(forecasts.samples, 0, 2)[valid])
     obs = np.moveaxis(observations.values, 0, -1)[valid]
     ends = np.cumsum(valid.sum(axis=2).ravel()).tolist()
     return [GridCellData(r, c, cols[start:end], obs[start:end])
