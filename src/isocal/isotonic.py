@@ -21,6 +21,9 @@ __all__ = ["IsotonicMap", "fit_isotonic", "inverse_maps"]
 
 INTERPOLATION_MODES = ("linear", "step")
 
+# Map-level pairs `inverse_maps` searches at once.
+_BLOCK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class IsotonicMap:
@@ -87,9 +90,11 @@ class IsotonicMap:
 def inverse_maps(maps, p) -> np.ndarray:
     """`IsotonicMap.inverse` of every map at every level: len(maps) x len(p).
 
-    All knots are concatenated and searched in one call. A knot is keyed by
-    the complex number (map index) + 1j * value, which numpy orders
+    All knots are concatenated once and searched together. A knot is keyed
+    by the complex number (map index) + 1j * value, which numpy orders
     lexicographically, so each level is located within its own map only.
+    Maps are searched in blocks of at most `_BLOCK` map-level pairs, which
+    bounds the temporaries.
     """
     p_in = np.asarray(p, dtype=np.float64)
     if np.any(p_in < 0.0) or np.any(p_in > 1.0) or not np.all(np.isfinite(p_in)):
@@ -97,20 +102,24 @@ def inverse_maps(maps, p) -> np.ndarray:
     p_arr = np.atleast_1d(p_in)
     sizes = np.array([m.values.size for m in maps])
     starts = np.cumsum(sizes) - sizes
-    ids = np.arange(len(maps))
     vals = np.concatenate([m.values for m in maps])
     bp = np.concatenate([m.breakpoints for m in maps])
-    keys = np.repeat(ids, sizes) + 1j * vals
-    g = np.searchsorted(keys, ids[:, None] + 1j * p_arr[None, :], side="left")
-    j = g - starts[:, None]
-    out = np.where(j == 0, 0.0, 1.0)
-    rows, cols = np.nonzero((j > 0) & (j < sizes[:, None]))
-    gi = g[rows, cols]
-    v_lo = vals[gi - 1]
-    frac = (p_arr[cols] - v_lo) / (vals[gi] - v_lo)
-    linear = bp[gi - 1] + frac * (bp[gi] - bp[gi - 1])
-    step = np.array([m.interpolation == "step" for m in maps])[rows]
-    out[rows, cols] = np.where(step, bp[gi], linear)
+    keys = np.repeat(np.arange(len(maps)), sizes) + 1j * vals
+    step = np.array([m.interpolation == "step" for m in maps])
+    out = np.empty((len(maps), p_arr.size))
+    per_block = max(1, _BLOCK // p_arr.size)
+    for first in range(0, len(maps), per_block):
+        ids = np.arange(first, min(first + per_block, len(maps)))
+        g = np.searchsorted(keys, ids[:, None] + 1j * p_arr[None, :], side="left")
+        j = g - starts[ids, None]
+        block = np.where(j == 0, 0.0, 1.0)
+        rows, cols = np.nonzero((j > 0) & (j < sizes[ids, None]))
+        gi = g[rows, cols]
+        v_lo = vals[gi - 1]
+        frac = (p_arr[cols] - v_lo) / (vals[gi] - v_lo)
+        linear = bp[gi - 1] + frac * (bp[gi] - bp[gi - 1])
+        block[rows, cols] = np.where(step[ids][rows], bp[gi], linear)
+        out[ids] = block
     return out
 
 

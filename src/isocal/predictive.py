@@ -250,10 +250,8 @@ def columns_by_kind(forecasts) -> list[tuple[slice | np.ndarray, ForecastColumns
     pairs = []
     for size, positions in groups.items():
         dists = [forecasts[i] for i in positions]
-        if size == 0:
-            cols = ForecastColumns(means=[d.mean for d in dists], stds=[d.std for d in dists])
-        else:
-            cols = ForecastColumns(samples=np.stack([d.samples for d in dists]))
+        cols = (ForecastColumns(samples=np.stack([d.samples for d in dists])) if size else
+                ForecastColumns(means=[d.mean for d in dists], stds=[d.std for d in dists]))
         pairs.append((slice(None) if len(groups) == 1 else np.asarray(positions), cols))
     return pairs
 

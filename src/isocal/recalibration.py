@@ -180,6 +180,7 @@ class CalibratedForecaster:
             if len(self._inverses) >= _INVERSES_KEPT:
                 self._inverses.clear()
             table = self._inverses[key] = inverse_maps(self.maps, levels)
+            table.flags.writeable = False
         return table[self._map_index(cell)]
 
 
@@ -321,7 +322,7 @@ def load_model(path) -> CalibratedForecaster:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed model file: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"malformed model file: expected a JSON object, got {type(doc).__name__}")

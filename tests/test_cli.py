@@ -212,6 +212,10 @@ class TestModelFileValidation:
         code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, "[1]")
         assert code == 3 and "expected a JSON object" in err
 
+    def test_nesting_deeper_than_the_parser_goes(self, alpha2_files, tmp_path, capsys):
+        code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, "[" * 100_000 + "]" * 100_000)
+        assert code == 3 and "malformed model file" in err
+
     def test_map_without_breakpoints(self, alpha2_files, tmp_path, capsys):
         doc = self.pooled(maps=[{"values": [0.0, 1.0]}])
         code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, doc)
@@ -264,6 +268,20 @@ class TestReliabilityCommand:
         out = tmp_path / "c.csv"
         assert run("reliability", "--forecasts", fc, "--observations", obs,
                    "--cell", "5,5", "--out", out) == 3
+
+    def test_per_cell_equals_pooled_on_one_cell(self, tmp_path):
+        fc, obs = synth_files(tmp_path, "one", grid="1x1x200", alpha="2", seed="21")
+        outputs = []
+        for scope in ("pooled", "per-cell"):
+            model, report, curve = (tmp_path / f"{scope}.{ext}" for ext in ("json", "report", "csv"))
+            assert run("calibrate", "--forecasts", fc, "--observations", obs,
+                       "--scope", scope, "--out", model) == 0
+            assert run("evaluate", "--forecasts", fc, "--observations", obs,
+                       "--model", model, "--out", report) == 0
+            assert run("reliability", "--forecasts", fc, "--observations", obs,
+                       "--model", model, "--out", curve) == 0
+            outputs.append((report.read_bytes(), curve.read_bytes()))
+        assert outputs[0] == outputs[1]
 
     def test_per_cell_model_without_cell_pools_cells(self, tmp_path):
         fc, obs = synth_files(tmp_path, "pool", grid="2x2x80", alpha="2", seed="13")

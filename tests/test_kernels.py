@@ -130,6 +130,15 @@ def test_batched_inverse_matches_map_by_map(specs, ps):
         assert np.array_equal(per_cell.inverse(p, (0, c)), m.inverse(p))
 
 
+def test_batched_inverse_spans_several_blocks():
+    rng = np.random.default_rng(2)
+    maps = [IsotonicMap(np.unique(rng.uniform(size=8)), np.sort(rng.uniform(size=8)),
+                        "step" if i % 4 == 0 else "linear") for i in range(300)]
+    p = np.linspace(0.0, 1.0, 101)  # 300 x 101 pairs: more than one block
+    expected = [[ref_inverse(m, pi) for pi in p] for m in maps]
+    assert np.array_equal(inverse_maps(maps, p), expected)
+
+
 def _metrics(cols, obs, cf=None):
     curve = reliability_curve(cols, obs, LEVELS, cf)
     return (curve.empirical, calibration_error(curve), mae_mid_quantile(cols, obs, cf),
