@@ -150,18 +150,21 @@ class ForecastColumns:
         return len(self.means if self.samples is None else self.samples)
 
     def __getitem__(self, rows) -> ForecastColumns:
+        """The forecasts at ``rows``, a slice or an array of row indices."""
+        if not isinstance(rows, slice) and np.ndim(rows) == 0:
+            raise TypeError("rows must be a slice or an array of row indices")
         if self.samples is None:
-            return ForecastColumns(means=self.means[rows], stds=self.stds[rows])
-        return ForecastColumns(samples=self.samples[rows])
+            return _checked_columns(means=self.means[rows], stds=self.stds[rows])
+        return _checked_columns(samples=self.samples[rows])
 
     @staticmethod
     def concat(parts) -> ForecastColumns:
         """Rows of several columns of the same kind, one after another."""
         parts = list(parts)
         if parts[0].samples is None:
-            return ForecastColumns(means=np.concatenate([c.means for c in parts]),
-                                   stds=np.concatenate([c.stds for c in parts]))
-        return ForecastColumns(samples=np.concatenate([c.samples for c in parts]))
+            return _checked_columns(means=np.concatenate([c.means for c in parts]),
+                                    stds=np.concatenate([c.stds for c in parts]))
+        return _checked_columns(samples=np.concatenate([c.samples for c in parts]))
 
     def cdf(self, y) -> np.ndarray:
         """Each forecast's CDF at its own outcome: ``y`` has one entry per row.
@@ -235,6 +238,19 @@ class ForecastColumns:
         return squares / p.size
 
 
+def _checked_columns(**arrays) -> ForecastColumns:
+    """`ForecastColumns` over arrays that already meet its checks (rows of
+    checked columns or of `Gaussian`/`Empirical` objects), without
+    repeating them."""
+    cols = object.__new__(ForecastColumns)
+    for name in ("means", "stds", "samples"):
+        arr = arrays.get(name)
+        if arr is not None:
+            arr.flags.writeable = False
+        object.__setattr__(cols, name, arr)
+    return cols
+
+
 def columns_by_kind(forecasts) -> list[tuple[slice | np.ndarray, ForecastColumns]]:
     """Forecasts as (positions, columns) pairs, one pair per kind.
 
@@ -250,16 +266,17 @@ def columns_by_kind(forecasts) -> list[tuple[slice | np.ndarray, ForecastColumns
     pairs = []
     for size, positions in groups.items():
         dists = [forecasts[i] for i in positions]
-        cols = (ForecastColumns(samples=np.stack([d.samples for d in dists])) if size else
-                ForecastColumns(means=[d.mean for d in dists], stds=[d.std for d in dists]))
+        cols = (_checked_columns(samples=np.stack([d.samples for d in dists])) if size else
+                _checked_columns(means=np.array([d.mean for d in dists]),
+                                 stds=np.array([d.std for d in dists])))
         pairs.append((slice(None) if len(groups) == 1 else np.asarray(positions), cols))
     return pairs
 
 
 def _columns(d: PredictiveDist) -> ForecastColumns:
     if isinstance(d, Gaussian):
-        return ForecastColumns(means=[d.mean], stds=[d.std])
-    return ForecastColumns(samples=d.samples[None, :])
+        return _checked_columns(means=np.array([d.mean]), stds=np.array([d.std]))
+    return _checked_columns(samples=d.samples[None, :])
 
 
 def cdf(d: PredictiveDist, y: float) -> float:
