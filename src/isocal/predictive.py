@@ -274,9 +274,7 @@ def columns_by_kind(forecasts) -> list[tuple[slice | np.ndarray, ForecastColumns
 
 
 def _columns(d: PredictiveDist) -> ForecastColumns:
-    if isinstance(d, Gaussian):
-        return _checked_columns(means=np.array([d.mean]), stds=np.array([d.std]))
-    return _checked_columns(samples=d.samples[None, :])
+    return columns_by_kind([d])[0][1]
 
 
 def cdf(d: PredictiveDist, y: float) -> float:
