@@ -188,13 +188,16 @@ def _human_delta(pct: float | None) -> str:
 
 
 def cmd_calibrate(args) -> int:
-    fs, gs, cells = _load_grids(args)
+    fs = read_forecasts(args.forecasts)
+    gs = read_observations(args.observations)
     scope = "per_cell" if args.scope == "per-cell" else "pooled"
     cf = fit_calibrator(fs, gs, scope=scope, interpolation=args.interpolation,
                         min_points_per_cell=args.min_points_per_cell)
     save_model(cf, args.out)
-    total = sum(len(cell.observations) for cell in cells)
-    incomplete = sum(1 for cell in cells if len(cell.observations) < len(gs.times))
+    # fit_calibrator aligned the grids and fitted on the valid observations.
+    valid = gs.mask
+    total = int(np.count_nonzero(valid))
+    incomplete = int(np.count_nonzero(~valid.all(axis=0)))
     print(f"scope: {scope}")
     print(f"grid: {gs.h}x{gs.w}, {len(gs.times)} time steps")
     print(f"calibration points: {total}")

@@ -70,7 +70,7 @@ class IsotonicMap:
         if np.any(q_arr < 0.0) or np.any(q_arr > 1.0) or not np.all(np.isfinite(q_arr)):
             raise ValueError(f"evaluation point outside [0, 1]: {q!r}")
         if self.interpolation == "linear":
-            out = np.interp(q_arr, self.breakpoints, self.values)
+            out = _interp(q_arr, self.breakpoints, self.values)
         else:
             idx = np.searchsorted(self.breakpoints, q_arr, side="right") - 1
             out = self.values[np.clip(idx, 0, self.values.size - 1)]
@@ -115,12 +115,35 @@ def inverse_maps(maps, p) -> np.ndarray:
         block = np.where(j == 0, 0.0, 1.0)
         rows, cols = np.nonzero((j > 0) & (j < sizes[ids, None]))
         gi = g[rows, cols]
-        v_lo = vals[gi - 1]
+        v_lo, b_lo, b_hi = vals[gi - 1], bp[gi - 1], bp[gi]
         frac = (p_arr[cols] - v_lo) / (vals[gi] - v_lo)
-        linear = bp[gi - 1] + frac * (bp[gi] - bp[gi - 1])
-        block[rows, cols] = np.where(step[ids][rows], bp[gi], linear)
+        linear = b_lo + frac * (b_hi - b_lo)
+        # Rounding can leave the point short of the level's fraction of the
+        # segment, where the map is still under the level (on a segment a
+        # few ulps wide, far under it): step once toward the right knot.
+        short = (linear - b_lo) / (b_hi - b_lo) < frac
+        linear[short] = np.nextafter(linear[short], b_hi[short])
+        block[rows, cols] = np.where(step[ids][rows], b_hi, linear)
         out[ids] = block
     return out
+
+
+def _interp(q: np.ndarray, bp: np.ndarray, vals: np.ndarray):
+    """``np.interp(q, bp, vals)``, except on segments so steep that its
+    slope overflows: there the fraction of the segment is interpolated
+    instead, which stays between the segment's end values."""
+    out = np.interp(q, bp, vals)
+    with np.errstate(over="ignore"):
+        steep = ~np.isfinite(np.diff(vals) / np.diff(bp))
+    if not steep.any():
+        return out
+    q1, out1 = q.reshape(-1), np.reshape(out, -1).copy()
+    j = np.clip(np.searchsorted(bp, q1, side="right") - 1, 0, bp.size - 2)
+    fix = steep[j] & (bp[j] < q1) & (q1 < bp[j + 1])
+    j = j[fix]
+    frac = (q1[fix] - bp[j]) / (bp[j + 1] - bp[j])
+    out1[fix] = np.minimum(vals[j] + frac * (vals[j + 1] - vals[j]), vals[j + 1])
+    return out1.reshape(q.shape)
 
 
 def _merge_ties(x: np.ndarray, y: np.ndarray, w: np.ndarray):

@@ -12,7 +12,9 @@ Randomness comes from a counter-based generator so that output is a pure
 function of the seed: raw 64-bit words are splitmix64 finalizations of
 ``seed + (counter + 1) * 0x9E3779B97F4A7C15``, uniforms take the top 53
 bits via ``((word >> 11) + 0.5) * 2**-53`` (always strictly inside (0,1)),
-and normals apply the standard normal quantile to one uniform each.
+and normals apply the standard normal quantile to one uniform each
+(Wichura's AS241 in numpy, `predictive.std_normal_quantile`; the analytic
+map uses the same function and the erfc-based `std_normal_cdf`).
 Sample ``i`` owns the counter block ``[i*b, (i+1)*b)`` with ``b = 3 + k``
 draws per sample (k = 0 in gaussian mode), so any chunking of the sample
 range reproduces sequential output exactly.

@@ -10,17 +10,31 @@ shares anything with a pool-adjacent-violators implementation.
 from __future__ import annotations
 
 import numpy as np
-from mpmath import erf, erfinv, mp, mpf, sqrt
+from mpmath import erfinv, log, mp, mpf, ncdf, npdf, sqrt
 
 mp.dps = 50
 
 
 def normal_cdf(x: float) -> float:
-    return float((1 + erf(mpf(x) / sqrt(2))) / 2)
+    return float(ncdf(mpf(x)))
 
 
 def normal_quantile(p: float) -> float:
-    return float(sqrt(2) * erfinv(2 * mpf(p) - 1))
+    """Quantile of the double ``p`` to 50 digits, in both tails too: Newton
+    steps on log Phi(x) = log p, for the lower half of the levels."""
+    p = mpf(p)
+    if p > 0.5:
+        return -normal_quantile(1 - p)  # 1 - p is exact at 50 digits
+    if p == 0.5:
+        return 0.0
+    x = sqrt(2) * erfinv(2 * p - 1) if p > 1e-10 else -sqrt(-2 * log(p))
+    target = log(p)
+    for _ in range(100):
+        step = (log(ncdf(x)) - target) * ncdf(x) / npdf(x)
+        x -= step
+        if abs(step) < mpf(10) ** -40 * abs(x):
+            return float(x)
+    raise ArithmeticError(f"normal quantile did not converge at p = {p}")
 
 
 def dispersed_level(alpha: float, p: float) -> float:

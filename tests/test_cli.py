@@ -105,6 +105,28 @@ class TestCalibrateCommand:
         assert "scope: pooled" in out
         assert "calibration points: 100" in out
 
+    @pytest.mark.parametrize("scope", ["pooled", "per-cell"])
+    def test_summary_counts_missing_observations(self, tmp_path, capsys, scope):
+        fc, obs = synth_files(tmp_path, "m", grid="2x3x40", seed="4")
+        lines = obs.read_text().splitlines()
+        # time,row,col,value rows in time-major order: drop 3 steps of cell
+        # (0, 1) and 1 step of cell (1, 2); the other 4 cells stay complete
+        for i in (2, 8, 14, 24 + 6):
+            lines[i] = lines[i].rsplit(",", 1)[0] + ",NaN"
+        obs.write_text("\n".join(lines) + "\n")
+        model = tmp_path / "m.json"
+        capsys.readouterr()
+        assert run("calibrate", "--forecasts", fc, "--observations", obs, "--scope", scope,
+                   "--min-points-per-cell", "30", "--out", model) == 0
+        assert capsys.readouterr().out == (
+            f"scope: {scope.replace('-', '_')}\n"
+            "grid: 2x3, 40 time steps\n"
+            "calibration points: 236\n"
+            "cells with missing observations excluded from fitting: 2\n"
+            f"model: {model}\n")
+        cf = load_model(model)
+        assert sum(m.breakpoints.size for m in cf.maps) == 236  # one knot per fitted point
+
 
 class TestEvaluateCommand:
     def test_report_structure_and_direction(self, alpha2_files, tmp_path):

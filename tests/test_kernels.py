@@ -54,7 +54,11 @@ def ref_inverse(m, p):
         return 1.0
     if m.interpolation == "step":
         return bp[j]
-    return bp[j - 1] + (p - vals[j - 1]) / (vals[j] - vals[j - 1]) * (bp[j] - bp[j - 1])
+    frac = (p - vals[j - 1]) / (vals[j] - vals[j - 1])
+    x = bp[j - 1] + frac * (bp[j] - bp[j - 1])
+    if (x - bp[j - 1]) / (bp[j] - bp[j - 1]) < frac:  # rounded short of the crossing
+        x = np.nextafter(x, bp[j])
+    return x
 
 
 # Members on a coarse grid, so ties among members and with outcomes occur.

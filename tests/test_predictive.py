@@ -1,11 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocal.predictive import Empirical, Gaussian, cdf, from_samples, quantile, variance
+import isocal
+from isocal.predictive import (Empirical, Gaussian, cdf, from_samples, quantile,
+                               std_normal_cdf, std_normal_quantile, variance)
 
 import oracles
 
@@ -138,3 +145,72 @@ def test_empirical_generalized_inverse(samples, frac):
 @given(st.floats(-50, 50), st.floats(-50, 50), st.floats(0.1, 10))
 def test_variance_ignores_location(m1, m2, s):
     assert variance(Gaussian(m1, s)) == variance(Gaussian(m2, s))
+
+
+def _normal_test_points(rng):
+    """Levels in [1e-300, 1 - 1e-16]: log-uniform in both tails and uniform."""
+    lower = 10.0 ** rng.uniform(-300, -1, 600)
+    upper = 1.0 - 10.0 ** rng.uniform(-16, -1, 600)
+    return np.concatenate([[1e-300, 1e-16, 0.5, 1 - 1e-16], lower, upper, rng.uniform(0, 1, 600)])
+
+
+def test_std_normal_cdf_against_mpmath():
+    rng = np.random.default_rng(11)
+    x = np.concatenate([np.linspace(-38.0, 9.0, 941), rng.uniform(-38.0, 9.0, 1000)])
+    expected = np.array([oracles.normal_cdf(v) for v in x])
+    assert np.max(np.abs(std_normal_cdf(x) - expected)) <= 2.3e-16
+
+
+def test_std_normal_quantile_against_mpmath():
+    p = _normal_test_points(np.random.default_rng(12))
+    expected = np.array([oracles.normal_quantile(v) for v in p])
+    got = std_normal_quantile(p)
+    assert got[2] == 0.0
+    nonzero = expected != 0.0
+    assert np.max(np.abs(got - expected)[nonzero] / np.abs(expected[nonzero])) <= 2e-15
+
+
+def test_std_normal_kernels_against_scipy():
+    from scipy.special import ndtr, ndtri
+    rng = np.random.default_rng(13)
+    x = np.concatenate([rng.uniform(-38.0, 9.0, 500_000), 4.0 * rng.standard_normal(500_000)])
+    assert np.max(np.abs(std_normal_cdf(x) - ndtr(x))) <= 4.6e-16
+    p = np.concatenate([rng.uniform(0.0, 1.0, 500_000), 10.0 ** rng.uniform(-300, 0, 250_000),
+                        1.0 - 10.0 ** rng.uniform(-16, 0, 250_000)])
+    p = p[(p > 0.0) & (p < 1.0)]
+    want = ndtri(p)
+    nonzero = want != 0.0
+    assert np.max(np.abs(std_normal_quantile(p) - want)[nonzero] / np.abs(want[nonzero])) <= 4e-15
+
+
+def test_std_normal_kernels_edges_raise_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert std_normal_quantile(0.0) == -np.inf
+        assert std_normal_quantile(1.0) == np.inf
+        np.testing.assert_array_equal(std_normal_quantile(np.array([0.0, 0.5, 1.0])),
+                                      [-np.inf, 0.0, np.inf])
+        assert np.isnan(std_normal_quantile(np.array([-0.5, 1.5, np.nan]))).all()
+        np.testing.assert_array_equal(std_normal_cdf(np.array([-np.inf, np.inf])), [0.0, 1.0])
+        assert std_normal_cdf(-np.inf) == 0.0 and std_normal_cdf(np.inf) == 1.0
+        assert np.isnan(std_normal_cdf(np.nan))
+
+
+def test_std_normal_kernels_keep_shapes_and_scalars():
+    for fn, arg in ((std_normal_cdf, 0.3), (std_normal_quantile, 0.3)):
+        assert type(fn(arg)) is np.float64
+        assert type(fn(np.float64(arg))) is np.float64
+        assert type(fn(np.array(arg))) is np.float64
+        assert fn(np.full((2, 3), arg)).shape == (2, 3)
+        assert fn(np.array([])).shape == (0,)
+
+
+def test_import_loads_no_scipy():
+    src = str(Path(isocal.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = ("import sys, isocal.cli; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
