@@ -18,6 +18,13 @@ as the token ``NaN`` and tracked by a validity mask; forecast files must
 be fully populated with strictly positive spreads. Reads and writes
 round-trip at full double precision.
 
+Fields follow Python's ``int`` (keys) and ``float`` (values) syntax. A
+file whose data lines hold only the characters a written file holds
+(`_CANONICAL`) is parsed by numpy's C reader; every other file, and any
+file that reader cannot take cleanly, goes to the line-by-line reader.
+Both give the same arrays bit for bit, and every error on a line comes
+from the line-by-line reader.
+
 A bad file reports one error. A wrong field count on any line is found
 before any value is parsed; otherwise the earliest line with a problem
 wins, and within that line the leftmost bad column (a byte that is not
@@ -32,6 +39,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +66,10 @@ _FORMATS = {
     GAUSSIAN_HEADER: (("time", "row", "col"), ("mean", "std"), False),
     ENSEMBLE_HEADER: (("time", "row", "col", "sample_idx"), ("value",), False),
 }
+
+# Every character a data line of a canonical file can hold: `_write_grid`'s
+# digits, signs, exponents and NaN/inf spellings, and the line break.
+_CANONICAL = b"0123456789,.-+eENanifIty\n"
 
 
 class ParseError(ValueError):
@@ -160,6 +172,16 @@ class ForecastSeries:
         return Empirical(self.samples[t_index, row, col])
 
 
+def _flagged(col: np.ndarray, name: str, is_key: bool, nan_ok: bool) -> np.ndarray:
+    """Where a parsed column holds a value its format forbids."""
+    if is_key:
+        return col < 0
+    flagged = np.isinf(col) if nan_ok else ~np.isfinite(col)
+    if name == "std":
+        flagged |= col <= 0.0
+    return flagged
+
+
 def _parse_column(tokens: list[str], name: str, is_key: bool, nan_ok: bool):
     """Convert one column with ``int`` (keys) or ``float`` (values).
 
@@ -178,13 +200,7 @@ def _parse_column(tokens: list[str], name: str, is_key: bool, nan_ok: bool):
                 break
         col = np.fromiter(map(convert, tokens[:bad]), dtype, bad)
         error = f"invalid {name}: {tokens[bad]!r}"
-    if is_key:
-        flagged = col < 0
-    else:
-        flagged = np.isinf(col) if nan_ok else ~np.isfinite(col)
-        if name == "std":
-            flagged |= col <= 0.0
-    first = np.flatnonzero(flagged)
+    first = np.flatnonzero(_flagged(col, name, is_key, nan_ok))
     if first.size:
         bad = first[0]
         value = col[bad].item()
@@ -198,6 +214,58 @@ def _parse_column(tokens: list[str], name: str, is_key: bool, nan_ok: bool):
             error = f"nonpositive std: {value}"
         col = col[:bad]
     return col, error
+
+
+def _parse_lines(lines: list[str], key_names, value_names, nan_ok: bool):
+    """Parse data lines one token at a time with Python's ``int``/``float``.
+
+    This reader judges every file: it finds each error the module
+    docstring describes. Returns one array per column and the number n
+    of leading records that are good in every column, with the error of
+    record n (None if all are good).
+    """
+    n_fields = len(key_names) + len(value_names)
+    for lineno, line in enumerate(lines, start=2):
+        if line and line.count(",") != n_fields - 1:
+            raise ParseError(f"expected {n_fields} fields, got {line.count(',') + 1}", line=lineno)
+    lines = [line for line in lines if line]
+    tokens = ",".join(lines).split(",")
+
+    # Each column is parsed only up to the earliest bad line found so far,
+    # so the error kept is that line's leftmost one.
+    n, error, columns = len(lines), None, []
+    for j, name in enumerate(key_names + value_names):
+        col, col_error = _parse_column(tokens[j:n * n_fields:n_fields], name, j < len(key_names), nan_ok)
+        if col_error is not None:
+            n, error = len(col), col_error
+        columns.append(col)
+    return columns, n, error
+
+
+def _load_canonical(body: str, lines: list[str], n_records: int, key_names, value_names, nan_ok: bool):
+    """Parse data lines with numpy's C reader, or return None.
+
+    Only a body made of `_CANONICAL` characters is tried: there numpy
+    reads each token as Python's ``int``/``float`` would. Any warning,
+    error or forbidden value also returns None, so that `_parse_lines`
+    reports it.
+    """
+    if not (body.isascii() and not body.encode("ascii").translate(None, _CANONICAL)):
+        return None
+    dtype = np.dtype([(name, np.int64) for name in key_names] + [(name, np.float64) for name in value_names])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
+    if len(table) != n_records:
+        return None
+    columns = [table[name] for name in dtype.names]
+    for j, (name, col) in enumerate(zip(dtype.names, columns)):
+        if _flagged(col, name, j < len(key_names), nan_ok).any():
+            return None
+    return columns
 
 
 def _where(names, key) -> str:
@@ -214,41 +282,33 @@ def _read_grid(path, headers: tuple[str, ...]):
     # A byte that is not UTF-8 decodes to a lone surrogate, which no field
     # accepts, so it is reported like any other bad token on its line.
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        header, *lines = fh.read().split("\n")
+        text = fh.read()
+    header, *lines = text.split("\n")
     if not header and not lines:
         raise ParseError("empty file, expected a header", line=1)
     if header not in headers:
         raise ParseError(f"malformed header {header!r}, expected {' or '.join(headers)}", line=1)
     key_names, value_names, nan_ok = _FORMATS[header]
-    n_fields = len(key_names) + len(value_names)
-    linenos = [lineno for lineno, line in enumerate(lines, start=2) if line]
-    lines = [line for line in lines if line]
-    if not lines:
+    n_records = len(lines) - lines.count("")
+    if not n_records:
         raise ParseError("no data records", line=2)
-    for lineno, line in zip(linenos, lines):
-        if line.count(",") != n_fields - 1:
-            raise ParseError(f"expected {n_fields} fields, got {line.count(',') + 1}", line=lineno)
-    tokens = ",".join(lines).split(",")
 
-    # Each column is parsed only up to the earliest bad line found so far,
-    # so the error kept is that line's leftmost one.
-    n, error, columns = len(lines), None, []
-    for j, name in enumerate(key_names + value_names):
-        col, col_error = _parse_column(tokens[j:n * n_fields:n_fields], name, j < len(key_names), nan_ok)
-        if col_error is not None:
-            n, error = len(col), col_error
-        columns.append(col)
+    columns = _load_canonical(text[len(header) + 1:], lines, n_records, key_names, value_names, nan_ok)
+    n, error = n_records, None
+    if columns is None:
+        columns, n, error = _parse_lines(lines, key_names, value_names, nan_ok)
     keys = np.array([col[:n] for col in columns[:len(key_names)]])
 
     order = np.lexsort(keys[::-1])
     ordered = keys[:, order]
     repeats = order[1:][(ordered[:, 1:] == ordered[:, :-1]).all(axis=0)]
-    if repeats.size:
-        i = repeats.min()
-        first = np.flatnonzero((keys == keys[:, [i]]).all(axis=0))[0]
-        raise ParseError(f"duplicate entry for {_where(key_names, keys[:, i])}, "
-                         f"first seen on line {linenos[first]}", line=linenos[i])
-    if error is not None:
+    if repeats.size or error is not None:
+        linenos = [lineno for lineno, line in enumerate(lines, start=2) if line]
+        if repeats.size:
+            i = repeats.min()
+            first = np.flatnonzero((keys == keys[:, [i]]).all(axis=0))[0]
+            raise ParseError(f"duplicate entry for {_where(key_names, keys[:, i])}, "
+                             f"first seen on line {linenos[first]}", line=linenos[i])
         raise ParseError(error, line=linenos[n])
 
     new_time = np.r_[True, ordered[0, 1:] != ordered[0, :-1]]

@@ -147,11 +147,16 @@ def _interp(q: np.ndarray, bp: np.ndarray, vals: np.ndarray):
 
 
 def _merge_ties(x: np.ndarray, y: np.ndarray, w: np.ndarray):
-    """Collapse equal x positions to their weighted mean y (summed weight)."""
+    """Collapse equal x positions to their weighted mean y (summed weight).
+
+    The mean is kept inside its group's range, so equal ys merge to
+    themselves exactly instead of rounding an ulp away.
+    """
     starts = np.r_[True, x[1:] != x[:-1]]
     idx = np.flatnonzero(starts)
     w_merged = np.add.reduceat(w, idx)
     y_merged = np.add.reduceat(w * y, idx) / w_merged
+    y_merged = np.clip(y_merged, np.minimum.reduceat(y, idx), np.maximum.reduceat(y, idx))
     return x[idx], y_merged, w_merged
 
 

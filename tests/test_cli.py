@@ -1,13 +1,21 @@
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocal.cli import main
 from isocal.recalibration import load_model
 from isocal.synth import true_recalibration_map
 
 import oracles
+from mutations import mutated
 
 
 def run(*argv):
@@ -347,3 +355,57 @@ class TestPipelineDeterminism:
             outputs.append({p.name: p.read_bytes()
                             for p in sorted(d.iterdir()) if p.is_file()})
         assert outputs[0] == outputs[1]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """Small valid inputs as text: forecasts of both kinds on one 2x2x8
+    grid, its observations and a pooled model fitted to them. Undamaged,
+    they pass calibrate and evaluate (exit 0)."""
+    base = tmp_path_factory.mktemp("fuzz")
+    fc, ens, obs, model = (base / name for name in ("gaussian.csv", "ensemble.csv", "obs.csv", "model.json"))
+    synth = ["synth", "--grid", "2x2x8", "--alpha", "2", "--seed", "9"]
+    assert run(*synth, "--out-forecasts", ens, "--out-observations", obs, "--mode", "sample_set", "--k", "10") == 0
+    assert run(*synth, "--out-forecasts", fc, "--out-observations", obs) == 0
+    assert run("calibrate", "--forecasts", fc, "--observations", obs, "--out", model) == 0
+    for forecasts in (fc, ens):
+        assert run("evaluate", "--forecasts", forecasts, "--observations", obs, "--model", model,
+                   "--out", base / "report.json") == 0
+    return {path.stem: path.read_text() for path in (fc, ens, obs, model)}
+
+
+def run_captured(*argv):
+    """Exit code and stderr of one in-process run; any warning is an error."""
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = run(*argv)
+    return code, stderr.getvalue()
+
+
+@pytest.mark.parametrize("target", ["gaussian", "ensemble", "obs", "model"])
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_mutated_input_exits_with_a_documented_code(fuzz_inputs, target, data):
+    """A damaged input file ends in exit 0, 2 or 3 with at most one line on
+    stderr, through calibrate and evaluate (CSV) or evaluate (model)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        fc = d / ("ensemble.csv" if target == "ensemble" else "gaussian.csv")
+        obs, model = d / "obs.csv", d / "model.json"
+        for path in (fc, obs, model):
+            path.write_text(fuzz_inputs[path.stem])
+        mutated_path = model if target == "model" else obs if target == "obs" else fc
+        mutated_path.write_bytes(data.draw(mutated(fuzz_inputs[mutated_path.stem])))
+        runs = []
+        if target != "model":
+            model = d / "fitted.json"
+            runs.append(run_captured("calibrate", "--forecasts", fc, "--observations", obs, "--out", model))
+        if not runs or runs[0][0] == 0:
+            runs.append(run_captured("evaluate", "--forecasts", fc, "--observations", obs,
+                                     "--model", model, "--out", d / "report.json"))
+    for code, stderr in runs:
+        assert code in (0, 2, 3)
+        assert len(stderr.splitlines()) <= 1 and "Traceback" not in stderr
+        assert (code == 0) == (stderr == "")

@@ -1,10 +1,15 @@
+import math
 import re
 import tracemalloc
 from typing import Callable, NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isocal import gridio
 from isocal.gridio import (
     ForecastSeries,
     GridSeries,
@@ -15,6 +20,8 @@ from isocal.gridio import (
     write_observations,
 )
 from isocal.predictive import Empirical, Gaussian
+
+from mutations import mutated
 
 
 def random_grid_series(rng, t=5, h=4, w=3, missing=0.0):
@@ -276,3 +283,104 @@ class TestSeriesValidation:
         with pytest.raises(ValueError, match="nonpositive std"):
             ForecastSeries(times=(0,), means=np.zeros((1, 1, 1)), stds=np.zeros((1, 1, 1)))
 
+
+
+OBS = "time,row,col,value\n"
+
+# Tokens that numpy's loadtxt and Python's int/float may read differently.
+# Whichever reader takes the file, it must read as int/float do: id ->
+# (file text, (times, values) or the exact error).
+TOKEN_CASES = {
+    "key-0x1c-after": (OBS + "0\x1c,0,0,1.0\n", "line 2: invalid time: '0\\x1c'"),
+    "key-0x1c-before": (OBS + "\x1c0,0,0,1.0\n", "line 2: invalid time: '\\x1c0'"),
+    "key-1_0": (OBS + "1_0,0,0,1.0\n", ((10,), [1.0])),
+    "value-1_0.5": (OBS + "0,0,0,1_0.5\n", ((0,), [10.5])),
+    "key-arabic-indic-3": (OBS + "\u0663,0,0,1.0\n", ((3,), [1.0])),
+    "value-arabic-indic-3": (OBS + "0,0,0,\u0663\n", ((0,), [3.0])),
+    "key-spaced-5": (OBS + " 5 ,0,0,1.0\n", ((5,), [1.0])),
+    "value-spaced-5": (OBS + "0,0,0, 5 \n", ((0,), [5.0])),
+    "key-tab-5": (OBS + "\t5,0,0,1.0\n", ((5,), [1.0])),
+    "key-+5": (OBS + "+5,0,0,1.0\n", ((5,), [1.0])),
+    "key--0": (OBS + "-0,0,0,1.0\n", ((0,), [1.0])),
+    "value--0": (OBS + "0,0,0,-0\n", ((0,), [-0.0])),
+    "value-5.": (OBS + "0,0,0,5.\n", ((0,), [5.0])),
+    "key-5.": (OBS + "5.,0,0,1.0\n", "line 2: invalid time: '5.'"),
+    "value-.5": (OBS + "0,0,0,.5\n", ((0,), [0.5])),
+    "key-5.0": (OBS + "5.0,0,0,1.0\n", "line 2: invalid time: '5.0'"),
+    "sample_idx-1.0": ("time,row,col,sample_idx,value\n0,0,0,0,1.0\n0,0,0,1.0,2.0\n",
+                       "line 3: invalid sample_idx: '1.0'"),
+    "whitespace-only-line": (OBS + "0,0,0,1.0\n   \n", "line 3: expected 4 fields, got 1"),
+    "lone-CR-line": (OBS + "0,0,0,1.0\n\r\n0,0,1,x\n", "line 4: invalid value: 'x'"),
+    "CR-ends-a-line": (OBS + "0,0,0,1.0\r0,0,1,2.0\n", ((0,), [1.0, 2.0])),
+    "CRLF-endings": (OBS.replace("\n", "\r\n") + "0,0,0,1.5\r\n0,0,1,2.5\r\n", ((0,), [1.5, 2.5])),
+    "hash-suffix": (OBS + "0,0,0,1.0#c\n", "line 2: invalid value: '1.0#c'"),
+    "quoted-field": (OBS + '0,0,0,"1.0"\n', "line 2: invalid value: '\"1.0\"'"),
+    "std-1e500": ("time,row,col,mean,std\n0,0,0,1.0,1e500\n", "line 2: non-finite std: '1e500'"),
+    "observation--nan": (OBS + "0,0,0,-nan\n", ((0,), [-math.nan])),
+}
+
+
+@pytest.mark.parametrize("text, expected", TOKEN_CASES.values(), ids=TOKEN_CASES.keys())
+def test_tokens_read_as_python_int_and_float_read_them(tmp_path, text, expected):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(text.encode())
+    reader = read_observations if text.startswith(OBS.rstrip()) else read_forecasts
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as info:
+            reader(path)
+        assert str(info.value) == expected
+    else:
+        times, values = expected
+        gs = reader(path)
+        assert gs.times == times
+        assert gs.values.tobytes() == np.array(values).tobytes()  # the sign of -0.0 and -nan too
+
+
+def _line_by_line_only():
+    """Keep every file away from numpy's reader."""
+    return mock.patch.object(gridio, "_load_canonical", return_value=None)
+
+
+def test_canonical_files_skip_the_line_by_line_reader(tmp_path):
+    rng = np.random.default_rng(5)
+    paths = [tmp_path / name for name in ("obs.csv", "gauss.csv", "ens.csv")]
+    write_observations(random_grid_series(rng, missing=0.2), paths[0])
+    write_forecasts(ForecastSeries(times=(0, 4), means=rng.normal(size=(2, 3, 2)),
+                                   stds=rng.uniform(0.1, 2.0, size=(2, 3, 2))), paths[1])
+    write_forecasts(ForecastSeries(times=(1, 2, 3), samples=rng.normal(size=(3, 2, 2, 5))), paths[2])
+    headers = tuple(gridio._FORMATS)
+    for path in paths:
+        with _line_by_line_only():
+            expected = gridio._read_grid(path, headers)
+        with mock.patch.object(gridio, "_parse_lines", side_effect=AssertionError("line-by-line path")):
+            header, times, fields = gridio._read_grid(path, headers)
+        assert (header, times) == expected[:2]
+        assert [f.tobytes() for f in fields] == [f.tobytes() for f in expected[2]]
+
+
+# one small valid file of each format, canonical as `_write_grid` writes it
+VALID_FILES = {
+    "observations": OBS + "0,0,0,1.5\n0,0,1,NaN\n2,0,0,-0.25\n2,0,1,3e-05\n",
+    "gaussian": "time,row,col,mean,std\n0,0,0,1.5,0.5\n0,1,0,-2.0,0.001\n1,0,0,0.0,2.0\n1,1,0,7.25,1e+20\n",
+    "ensemble": "time,row,col,sample_idx,value\n0,0,0,0,1.5\n0,0,0,1,-2.0\n1,0,0,0,0.0\n1,0,0,1,0.00725\n",
+}
+
+
+def _outcome(path):
+    """What `_read_grid` makes of a file: its error, or every output bit."""
+    try:
+        header, times, fields = gridio._read_grid(path, tuple(gridio._FORMATS))
+    except ParseError as exc:
+        return str(exc)
+    return header, times, [(f.shape, f.dtype.str, f.tobytes()) for f in fields]
+
+
+@pytest.mark.parametrize("fmt", sorted(VALID_FILES))
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_numpy_reader_agrees_with_line_by_line_reader(tmp_path_factory, fmt, data):
+    path = tmp_path_factory.getbasetemp() / f"mutated_{fmt}.csv"
+    path.write_bytes(data.draw(mutated(VALID_FILES[fmt])))
+    with _line_by_line_only():
+        expected = _outcome(path)
+    assert _outcome(path) == expected

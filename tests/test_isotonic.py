@@ -166,6 +166,9 @@ def test_fit_is_idempotent(points):
 @settings(max_examples=200, deadline=None)
 # knots one ulp apart: the interpolated inverse rounds onto the left knot
 @example(points=[(1.0, 1.0), (0.9999999999999999, 0.5)], level=0.625, mode="linear")
+# three equal ys at one x: their mean must not round an ulp above them
+@example(points=[(0.0, 0.48488647955530795), (0.25, 0.48488647955530795), (0.25, 0.48488647955530795),
+                 (0.25, 0.48488647955530795)], level=0.1875, mode="linear")
 def test_galois_connection(points, level, mode):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
