@@ -23,14 +23,12 @@ import numpy as np
 from . import gridio
 from .gridio import ParseError, read_forecasts, read_observations
 from .metrics import (
-    ReliabilityCurve,
     calibration_error,
     mae_mid_quantile,
     reliability_curve,
     sharpness,
     write_reliability_csv,
 )
-from .predictive import ForecastColumns
 from .recalibration import fit_calibrator, grid_points, load_model, save_model
 from .synth import SynthConfig, generate_gridded
 
@@ -116,17 +114,13 @@ def _check_out_distinct(out_path, in_paths):
 
 
 def _load_grids(args):
+    """The observation grid, and `grid_points` of the two input files."""
     fs = read_forecasts(args.forecasts)
     gs = read_observations(args.observations)
-    cells = grid_points(fs, gs)
-    return fs, gs, cells
-
-
-def _flatten(cells):
-    obs = np.concatenate([cell.observations for cell in cells])
-    if obs.size == 0:
+    points = grid_points(fs, gs)
+    if points[1].size == 0:
         raise ValueError("no valid forecast/observation pairs")
-    return ForecastColumns.concat(cell.forecasts for cell in cells), obs
+    return gs, points
 
 
 def _load_model(args, gs):
@@ -138,39 +132,15 @@ def _load_model(args, gs):
     return model
 
 
-def _cell_groups(cells):
-    return [(cell.forecasts, cell.observations, (cell.row, cell.col)) for cell in cells]
-
-
-def _pooled(groups, score):
-    """Mean of ``score(forecasts, observations, cell)`` over groups of
-    (forecasts, observations, cell), weighting each by its point count."""
-    total, acc = 0, 0.0
-    for dists, obs, cell in groups:
-        if len(obs):
-            acc = acc + len(obs) * score(dists, obs, cell)
-            total += len(obs)
-    if total == 0:
-        raise ValueError("no valid forecast/observation pairs")
-    return acc / total
-
-
-def _metric_block(groups, calibrator, levels, variant):
-    """Coverage, CE, MAE and sharpness pooled over groups of
-    (forecasts, observations, cell)."""
-    def score(dists, obs, cell):
-        curve = reliability_curve(dists, obs, levels, calibrator, cell)
-        return np.append(curve.empirical, [mae_mid_quantile(dists, obs, calibrator, cell),
-                                           sharpness(dists, calibrator, cell)])
-
-    pooled = _pooled(groups, score)
-    emp = pooled[:-2]
-    ce = calibration_error(ReliabilityCurve(levels, emp, np.ones_like(levels)), variant)
+def _metric_block(points, calibrator, levels, variant):
+    """Coverage, CE, MAE and sharpness of the points (forecasts, observations, cell)."""
+    forecasts, obs, cell = points
+    curve = reliability_curve(forecasts, obs, levels, calibrator, cell)
     return {
-        "ce": ce,
-        "mae": float(pooled[-2]),
-        "sharpness": float(pooled[-1]),
-        "coverage": {_level_key(p): float(e) for p, e in zip(levels, emp)},
+        "ce": calibration_error(curve, variant),
+        "mae": mae_mid_quantile(forecasts, obs, calibrator, cell),
+        "sharpness": sharpness(forecasts, calibrator, cell),
+        "coverage": {_level_key(p): float(e) for p, e in zip(levels, curve.empirical)},
     }
 
 
@@ -188,6 +158,8 @@ def _human_delta(pct: float | None) -> str:
 
 
 def cmd_calibrate(args) -> int:
+    if args.min_points_per_cell < 2:
+        raise UsageError(f"--min-points-per-cell must be at least 2, got {args.min_points_per_cell}")
     fs = read_forecasts(args.forecasts)
     gs = read_observations(args.observations)
     scope = "per_cell" if args.scope == "per-cell" else "pooled"
@@ -207,18 +179,16 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    fs, gs, cells = _load_grids(args)
+    gs, points = _load_grids(args)
     model = _load_model(args, gs)
     levels = args.levels
-    flat_group = [(*_flatten(cells), None)]
     report = {
         "levels": [_level_key(p) for p in levels],
         "ce_variant": args.ce_variant,
-        "uncalibrated": _metric_block(flat_group, None, levels, args.ce_variant),
+        "uncalibrated": _metric_block(points, None, levels, args.ce_variant),
     }
     if model is not None:
-        groups = _cell_groups(cells) if model.scope == "per_cell" else flat_group
-        report["calibrated"] = _metric_block(groups, model, levels, args.ce_variant)
+        report["calibrated"] = _metric_block(points, model, levels, args.ce_variant)
         report["deltas_pct"] = {
             key: _delta_pct(report["uncalibrated"][key], report["calibrated"][key])
             for key in ("ce", "mae", "sharpness")
@@ -250,31 +220,25 @@ def _print_human(report, variant):
 
 
 def cmd_reliability(args) -> int:
-    fs, gs, cells = _load_grids(args)
+    gs, (forecasts, obs, (rows, cols)) = _load_grids(args)
     model = _load_model(args, gs)
     levels = args.levels
 
     if args.cell:
-        by_pos = {(cell.row, cell.col): cell for cell in cells}
         out = Path(args.out)
         for r, c in args.cell:
-            if (r, c) not in by_pos:
+            if not (r < gs.h and c < gs.w):
                 raise ValueError(f"cell out of range: ({r}, {c}) for {gs.h}x{gs.w} grid")
-            cell = by_pos[(r, c)]
-            use_cell = (r, c) if model is not None and model.scope == "per_cell" else None
-            curve = reliability_curve(cell.forecasts, cell.observations, levels, model, use_cell)
+            here = (rows == r) & (cols == c)
+            if not here.any():
+                raise ValueError(f"cell ({r}, {c}) has no valid observations")
+            curve = reliability_curve(forecasts[here], obs[here], levels, model, (r, c))
             path = out.with_name(f"{out.stem}_cell{r}-{c}{out.suffix}")
             write_reliability_csv(curve, path)
             print(f"curve: {path}")
         return EXIT_OK
 
-    if model is not None and model.scope == "per_cell":
-        emp = _pooled(_cell_groups(cells),
-                      lambda dists, obs, cell: reliability_curve(dists, obs, levels, model, cell).empirical)
-        curve = ReliabilityCurve(levels, emp, np.ones_like(levels))
-    else:
-        dists, obs = _flatten(cells)
-        curve = reliability_curve(dists, obs, levels, model, None)
+    curve = reliability_curve(forecasts, obs, levels, model, (rows, cols))
     write_reliability_csv(curve, args.out)
     print(f"curve: {args.out}")
     return EXIT_OK

@@ -3,11 +3,13 @@ sharpness and median absolute error.
 
 Every function here is pure, takes forecasts as a `ForecastColumns` or a
 flat sequence of predictive distributions, and accepts an optional
-calibrator (with an optional grid cell selecting the map under per-cell
-scope). The calibrator's inverse turns each nominal level into the raw
-level at which the forecasts are read, and one quantile kernel reads all
-forecasts at all those levels. Reductions run in fixed input order so
-repeated runs are bit-identical.
+calibrator. Under per-cell scope a ``cell`` selects the maps: one
+(row, col) pair for every forecast, or a pair of per-forecast arrays of
+rows and columns (as `grid_points` returns them). The inverses of all
+maps turn the nominal levels into one table of raw levels, maps x
+levels, and each forecast reads its map's row of it; a pooled map, or
+no calibrator, is the one-row table every forecast shares. Reductions
+run in fixed input order so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .isotonic import inverse_maps
 from .predictive import ForecastColumns, PredictiveDist, columns_by_kind, level_blocks
 # perfbench/tracing.py counts calls made through these names of this module.
 from .predictive import quantile, variance  # noqa: F401
@@ -89,16 +92,24 @@ def interval_coverage(lows, highs, observations) -> float:
     return float(np.count_nonzero((obs >= lo) & (obs <= hi))) / obs.size
 
 
-def _raw_levels(calibrator, cell, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Raw quantile levels that the calibrated ``levels`` map back to, and
-    which of them saturate (the inverse is exactly 0 or 1). Saturated
-    levels are clamped near the boundary."""
+def _raw_levels(calibrator, cell, levels: np.ndarray, n: int):
+    """Raw levels that the calibrated ``levels`` map back to, maps x levels
+    and clamped near 0 and 1; the row each of the ``n`` forecasts reads (a
+    scalar when all read one); and which entries saturate (exactly 0 or 1)."""
     if calibrator is None:
-        return levels, np.zeros(levels.shape, dtype=bool)
-    raw = calibrator.inverse(levels, cell)
+        return levels[None, :], 0, np.zeros((1, levels.size), dtype=bool)
+    index = calibrator._map_index(cell)
+    if np.ndim(index) and np.shape(index) != (n,):
+        raise ValueError(f"{np.size(index)} cells for {n} forecasts")
+    raw = inverse_maps(calibrator.maps, levels)
     saturated = (raw == 0.0) | (raw == 1.0)
     raw = np.where(raw == 0.0, SATURATION_LEVEL_LO, raw)
-    return np.where(raw == 1.0, SATURATION_LEVEL_HI, raw), saturated
+    return np.where(raw == 1.0, SATURATION_LEVEL_HI, raw), index, saturated
+
+
+def _of_rows(index, rows):
+    """The table rows that the forecasts at ``rows`` read."""
+    return index[rows] if np.ndim(index) else index
 
 
 def reliability_curve(
@@ -106,7 +117,7 @@ def reliability_curve(
     observations: Sequence[float],
     levels: Sequence[float],
     calibrator: CalibratedForecaster | None = None,
-    cell: tuple[int, int] | None = None,
+    cell=None,
 ) -> ReliabilityCurve:
     """Observed frequency of staying below the (calibrated) upper bound
     at each nominal level. Weights are all 1.
@@ -123,12 +134,13 @@ def reliability_curve(
         raise ValueError("coverage of an empty set is undefined")
     if len(forecasts) != obs.size:
         raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
-    raw, _ = _raw_levels(calibrator, cell, levels_arr)
-    covered = np.zeros(raw.size, dtype=np.int64)
+    raw, index, _ = _raw_levels(calibrator, cell, levels_arr, obs.size)
+    covered = np.zeros(levels_arr.size, dtype=np.int64)
     for rows, cols in columns_by_kind(forecasts):
         obs_rows = obs[rows][:, None]
-        for block in level_blocks(len(cols), raw.size):
-            covered[block] += np.count_nonzero(obs_rows <= cols.quantiles(raw[block]), axis=0)
+        for block in level_blocks(len(cols), levels_arr.size):
+            quantiles = cols.quantiles(raw[:, block], _of_rows(index, rows))
+            covered[block] += np.count_nonzero(obs_rows <= quantiles, axis=0)
     return ReliabilityCurve(levels_arr, covered / obs.size, np.ones_like(levels_arr))
 
 
@@ -152,7 +164,7 @@ def calibration_error(curve: ReliabilityCurve, variant: str = "absolute") -> flo
 def sharpness(
     forecasts: Sequence[PredictiveDist] | ForecastColumns,
     calibrator: CalibratedForecaster | None = None,
-    cell: tuple[int, int] | None = None,
+    cell=None,
 ) -> float:
     """Mean forecast variance, after recalibration when a map is given.
 
@@ -160,18 +172,24 @@ def sharpness(
     midpoint levels (i - 0.5)/512, making results reproducible bit for
     bit; for Gaussian forecasts it has the closed form s**2 Var(z) over
     those levels. Exactly saturated levels are clamped near the boundary;
-    if more than 5% of the grid saturates the map is too flat for a
-    meaningful spread and an error naming the cell is raised.
+    if more than 5% of the grid saturates, a map is too flat for a
+    meaningful spread, and an error names the first such map (its cell,
+    in row-major order) that some forecast reads.
     """
     if len(forecasts) == 0:
         raise ValueError("sharpness of an empty forecast set is undefined")
-    raw, saturated = _raw_levels(calibrator, cell, _SHARPNESS_LEVELS)
-    if np.mean(saturated) > MAX_SATURATED_FRACTION:
-        where = f" in cell ({cell[0]}, {cell[1]})" if calibrator.scope == "per_cell" else ""
+    raw, index, saturated = _raw_levels(calibrator, cell, _SHARPNESS_LEVELS, len(forecasts))
+    read = np.zeros(len(raw), dtype=bool)
+    read[index] = True
+    degenerate = np.flatnonzero(read & (np.mean(saturated, axis=1) > MAX_SATURATED_FRACTION))
+    if degenerate.size:
+        where = (" in cell ({}, {})".format(*divmod(int(degenerate[0]), calibrator.w))
+                 if calibrator.scope == "per_cell" else "")
         raise ValueError(f"calibrator too degenerate for sharpness{where}")
     spread = np.empty(len(forecasts))
     for rows, cols in columns_by_kind(forecasts):
-        spread[rows] = cols.variance() if calibrator is None else cols.level_variance(raw)
+        spread[rows] = (cols.variance() if calibrator is None
+                        else cols.level_variance(raw, _of_rows(index, rows)))
     return float(np.mean(spread))
 
 
@@ -179,16 +197,16 @@ def mae_mid_quantile(
     forecasts: Sequence[PredictiveDist] | ForecastColumns,
     observations: Sequence[float],
     calibrator: CalibratedForecaster | None = None,
-    cell: tuple[int, int] | None = None,
+    cell=None,
 ) -> float:
     """Mean absolute error of the (calibrated) median forecast."""
     obs = np.asarray(observations, dtype=np.float64)
     if obs.size == 0 or len(forecasts) != obs.size:
         raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
-    raw, _ = _raw_levels(calibrator, cell, np.array([0.5]))
+    raw, index, _ = _raw_levels(calibrator, cell, np.array([0.5]), obs.size)
     medians = np.empty(obs.size)
     for rows, cols in columns_by_kind(forecasts):
-        medians[rows] = cols.quantiles(raw)[:, 0]
+        medians[rows] = cols.quantiles(raw, _of_rows(index, rows))[:, 0]
     return float(np.mean(np.abs(obs - medians)))
 
 

@@ -38,6 +38,9 @@ __all__ = [
 
 # Upper bound on the quantiles a kernel caller holds at once (n x levels).
 _BLOCK = 1 << 16
+# Levels per step of the normal quantile, which holds about 80 bytes of
+# temporaries per level.
+_AS241_BLOCK = 1 << 14
 
 _SQRT2 = math.sqrt(2.0)
 _erfc = np.frompyfunc(math.erfc, 1, 1)
@@ -105,6 +108,13 @@ def std_normal_quantile(p):
     """
     p = np.asarray(p, dtype=np.float64)
     flat = p.reshape(-1)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _AS241_BLOCK):
+        out[start:start + _AS241_BLOCK] = _as241(flat[start:start + _AS241_BLOCK])
+    return out.reshape(p.shape)[()]
+
+
+def _as241(flat: np.ndarray) -> np.ndarray:
     q = flat - 0.5
     out = np.full(flat.shape, np.nan)
     central = np.abs(q) <= 0.425
@@ -125,7 +135,7 @@ def std_normal_quantile(p):
         out[tail] = np.where(qt < 0.0, -x, x)
     out[flat == 0.0] = -np.inf
     out[flat == 1.0] = np.inf
-    return out.reshape(p.shape)[()]
+    return out
 
 
 def forecast_arrays(means=None, stds=None, samples=None) -> dict[str, np.ndarray]:
@@ -228,15 +238,6 @@ class ForecastColumns:
             return _checked_columns(means=self.means[rows], stds=self.stds[rows])
         return _checked_columns(samples=self.samples[rows])
 
-    @staticmethod
-    def concat(parts) -> ForecastColumns:
-        """Rows of several columns of the same kind, one after another."""
-        parts = list(parts)
-        if parts[0].samples is None:
-            return _checked_columns(means=np.concatenate([c.means for c in parts]),
-                                    stds=np.concatenate([c.stds for c in parts]))
-        return _checked_columns(samples=np.concatenate([c.samples for c in parts]))
-
     def cdf(self, y) -> np.ndarray:
         """Each forecast's CDF at its own outcome: ``y`` has one entry per row.
 
@@ -262,28 +263,34 @@ class ForecastColumns:
         out[(at_or_below == k) & (lo != y)] = 1.0
         return out
 
-    def quantiles(self, p) -> np.ndarray:
-        """Quantile of every forecast at every level in ``p``: n x len(p).
+    def quantiles(self, p, index=0) -> np.ndarray:
+        """Quantile of every forecast at the levels of its row of ``p``.
+
+        ``p`` is one row of levels, or a table of rows (maps x levels) in
+        which forecast i reads row ``index[i]``; a scalar ``index`` is the
+        row every forecast reads. The normal quantile and the ensemble's
+        plotting-position lookup run once per table entry.
 
         Ensembles interpolate linearly through (x_(j), (j - 0.5)/k), with the
         arithmetic of ``np.interp``, and clamp to the extreme members outside
         that range; every row shares the k plotting positions.
         """
-        p = np.asarray(p, dtype=np.float64)
+        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
         if self.samples is None:
-            return self.means[:, None] + self.stds[:, None] * std_normal_quantile(p)
+            return self.means[:, None] + self.stds[:, None] * std_normal_quantile(p)[index]
         xs = self.samples
         k = xs.shape[1]
         if k == 1:
-            return np.repeat(xs, p.size, axis=1)
-        positions = (np.arange(k) + 0.5) / k
-        j = np.searchsorted(positions, p, side="right") - 1
-        at = np.maximum(j, 0)
-        between = (j >= 0) & (j < k - 1) & (positions[at] != p)
-        j = np.minimum(at, k - 2)
-        lo = xs[:, j]
-        slope = (xs[:, j + 1] - lo) / (positions[j + 1] - positions[j])
-        return np.where(between, slope * (p - positions[j]) + lo, xs[:, at])
+            return np.repeat(xs, p.shape[1], axis=1)
+        positions, j, at, between = _plotting_lookup(p, k)
+        width, offset = positions[j + 1] - positions[j], p - positions[j]
+        j, at, between, width, offset = (a[index] for a in (j, at, between, width, offset))
+        # A shared row of levels reads member columns, much faster than a
+        # row-and-column gather.
+        rows = slice(None) if j.ndim == 1 else np.arange(len(xs))[:, None]
+        lo = xs[rows, j]
+        slope = (xs[rows, j + 1] - lo) / width
+        return np.where(between, slope * offset + lo, xs[rows, at])
 
     def variance(self) -> np.ndarray:
         """Each forecast's variance: std**2, or the population variance of
@@ -293,20 +300,53 @@ class ForecastColumns:
         dev = self.samples - self.samples.mean(axis=1, keepdims=True)
         return (dev * dev).mean(axis=1)
 
-    def level_variance(self, p) -> np.ndarray:
-        """Each forecast's variance of its quantiles over the levels ``p``.
+    def level_variance(self, p, index=0) -> np.ndarray:
+        """Each forecast's variance of its quantiles over the levels of its
+        row of ``p`` (rows and ``index`` as in `quantiles`).
 
-        Gaussian quantiles are m + s z(p), so this is s**2 Var(z) in closed
-        form. Ensembles take two passes over blocks of levels, the mean and
-        then the centred squares, and never hold all n x len(p) quantiles.
+        Gaussian: s**2 Var(z(p)), one Var(z) per row. An ensemble's
+        quantiles at L levels are x A^T, x its sorted members and A an L x k
+        matrix with at most two adjacent nonzero weights per level, so their
+        variance is the form x M x^T, M = A^T A / L - abar^T abar (abar: A's
+        column means). At y = x - x.abar it is y (A^T A / L) y^T, and A^T A
+        is tridiagonal: each row keeps its diagonals and abar, and no n x L
+        quantiles are formed. Centring the members first keeps a common
+        shift from changing the result.
         """
-        p = np.asarray(p, dtype=np.float64)
+        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
         if self.samples is None:
-            return self.stds * self.stds * np.var(std_normal_quantile(p))
-        blocks = level_blocks(len(self), p.size)
-        mean = sum(self.quantiles(p[b]).sum(axis=1) for b in blocks) / p.size
-        squares = sum(np.square(self.quantiles(p[b]) - mean[:, None]).sum(axis=1) for b in blocks)
-        return squares / p.size
+            return self.stds * self.stds * np.var(std_normal_quantile(p), axis=1)[index]
+        n_rows, n_levels = p.shape
+        k = self.samples.shape[1]
+        if k == 1:
+            return np.zeros(len(self))
+        positions, j, at, between = _plotting_lookup(p, k)
+        upper = np.where(between, (p - positions[j]) / (positions[j + 1] - positions[j]), 0.0)
+        lower = 1.0 - upper  # weight of member `first`; `upper` is that of first + 1
+        first = np.where(between, j, at) + (k + 1) * np.arange(n_rows)[:, None]
+
+        def level_mean(weights, shift):
+            """Mean over each row's levels of the weight on every member."""
+            sums = np.bincount((first + shift).ravel(), weights.ravel(), n_rows * (k + 1))
+            return sums.reshape(n_rows, k + 1)[:, :k] / n_levels
+
+        abar = level_mean(lower, 0) + level_mean(upper, 1)
+        diag = level_mean(lower * lower, 0) + level_mean(upper * upper, 1)
+        off = level_mean(lower * upper, 0)[:, :-1]
+        xc = self.samples - self.samples.mean(axis=1, keepdims=True)
+        y = xc - np.sum(abar[index] * xc, axis=1, keepdims=True)
+        return np.sum(diag[index] * y * y, axis=1) + 2.0 * np.sum(off[index] * y[:, :-1] * y[:, 1:], axis=1)
+
+
+def _plotting_lookup(p: np.ndarray, k: int):
+    """The k >= 2 plotting positions (j - 0.5)/k and, for each level of
+    ``p``: the left end j of its segment; the member `at` it reads unless
+    it lies strictly inside a segment; and whether it does."""
+    positions = (np.arange(k) + 0.5) / k
+    j = np.searchsorted(positions, p, side="right") - 1
+    at = np.maximum(j, 0)
+    between = (j >= 0) & (j < k - 1) & (positions[at] != p)
+    return positions, np.minimum(at, k - 2), at, between
 
 
 def _checked_columns(**arrays) -> ForecastColumns:

@@ -25,20 +25,19 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .gridio import ForecastSeries, GridSeries
-from .isotonic import IsotonicMap, fit_isotonic, inverse_maps
+from .isotonic import IsotonicMap, fit_isotonic
 from .predictive import ForecastColumns, PredictiveDist, cdf, columns_by_kind, quantile
 
 __all__ = [
     "CalibrationPair",
     "CalibratedForecaster",
     "CalibratedQuantile",
-    "GridCellData",
     "empirical_cdf_level",
     "build_calibration_dataset",
     "grid_points",
@@ -61,9 +60,6 @@ DEFAULT_MIN_POINTS_PER_CELL = 30
 SATURATION_LEVEL_LO = 1e-6
 SATURATION_LEVEL_HI = 1.0 - 1e-6
 
-# Level sets whose inverse tables a forecaster keeps (see `inverse`).
-_INVERSES_KEPT = 4
-
 
 class CalibrationPair(NamedTuple):
     c: float  # CDF value the forecast assigned to the outcome
@@ -73,13 +69,6 @@ class CalibrationPair(NamedTuple):
 class CalibratedQuantile(NamedTuple):
     value: float
     saturated: bool
-
-
-class GridCellData(NamedTuple):
-    row: int
-    col: int
-    forecasts: ForecastColumns
-    observations: np.ndarray
 
 
 def empirical_cdf_level(cs: Sequence[float], p: float) -> float:
@@ -131,7 +120,6 @@ class CalibratedForecaster:
     maps: tuple[IsotonicMap, ...]
     h: int = 0
     w: int = 0
-    _inverses: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scope not in ("pooled", "per_cell"):
@@ -151,46 +139,36 @@ class CalibratedForecaster:
     def interpolation(self) -> str:
         return self.maps[0].interpolation
 
-    def _map_index(self, cell: tuple[int, int] | None) -> int:
+    def _map_index(self, cell):
+        """Position in `maps` of the map governing ``cell``: one (row, col)
+        pair, or per-forecast arrays of rows and columns, which give one
+        position per forecast. Pooled scope gives 0 for any cell."""
         if self.scope == "pooled":
             return 0
         if cell is None:
             raise ValueError("per_cell calibrator requires a cell")
-        r, c = cell
-        if not (0 <= r < self.h and 0 <= c < self.w):
-            raise ValueError(f"cell out of range: ({r}, {c}) for {self.h}x{self.w} grid")
+        r, c = np.broadcast_arrays(*cell)
+        outside = (r < 0) | (r >= self.h) | (c < 0) | (c >= self.w)
+        if outside.any():
+            i = np.argmax(outside)
+            raise ValueError(f"cell out of range: ({r.flat[i]}, {c.flat[i]}) for {self.h}x{self.w} grid")
         return r * self.w + c
 
     def map_for(self, cell: tuple[int, int] | None) -> IsotonicMap:
         """The map governing ``cell`` (ignored under pooled scope)."""
         return self.maps[self._map_index(cell)]
 
-    def inverse(self, levels, cell: tuple[int, int] | None = None) -> np.ndarray:
-        """``map_for(cell).inverse(levels)`` for a 1-d array of levels.
 
-        The first request for a set of levels inverts every map at once,
-        in one batched `inverse_maps` call; later cells asking for the same
-        levels read their row of that table. The tables of the last few
-        level sets are kept.
-        """
-        levels = np.asarray(levels, dtype=np.float64)
-        key = levels.tobytes()
-        table = self._inverses.get(key)
-        if table is None:
-            if len(self._inverses) >= _INVERSES_KEPT:
-                self._inverses.clear()
-            table = self._inverses[key] = inverse_maps(self.maps, levels)
-            table.flags.writeable = False
-        return table[self._map_index(cell)]
+def grid_points(
+    forecasts: ForecastSeries, observations: GridSeries
+) -> tuple[ForecastColumns, np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Align a forecast grid with an observation grid: the forecast columns,
+    observations and cell (a pair of arrays: each point's grid row and
+    column, as the metrics take ``cell``) of every point with an observation.
 
-
-def grid_points(forecasts: ForecastSeries, observations: GridSeries) -> list[GridCellData]:
-    """Align a forecast grid with an observation grid, cell by cell.
-
-    Cells come in row-major order, each with its valid time steps in time
-    order; time steps with a missing observation are dropped from that
-    cell's series. Every cell's forecasts are a slice of one set of
-    columns. Raises on any dimension or time-axis mismatch.
+    Points come cell by cell in row-major order, so each cell's points are
+    contiguous, and in time order within a cell. Raises on any dimension
+    or time-axis mismatch.
     """
     if (forecasts.h, forecasts.w) != (observations.h, observations.w):
         raise ValueError(f"grid dimension mismatch: forecasts {forecasts.h}x{forecasts.w}, "
@@ -203,10 +181,8 @@ def grid_points(forecasts: ForecastSeries, observations: GridSeries) -> list[Gri
                                stds=np.moveaxis(forecasts.stds, 0, -1)[valid])
     else:
         cols = ForecastColumns(samples=np.moveaxis(forecasts.samples, 0, 2)[valid])
-    obs = np.moveaxis(observations.values, 0, -1)[valid]
-    ends = np.cumsum(valid.sum(axis=2).ravel()).tolist()
-    return [GridCellData(r, c, cols[start:end], obs[start:end])
-            for (r, c), start, end in zip(np.ndindex(valid.shape[:2]), [0] + ends, ends)]
+    rows, col_index, _ = np.nonzero(valid)
+    return cols, np.moveaxis(observations.values, 0, -1)[valid], (rows, col_index)
 
 
 def _fit_map(forecasts, observations, interpolation: str) -> IsotonicMap:
@@ -243,23 +219,24 @@ def fit_calibrator(
             forecasts = list(forecasts)
         return CalibratedForecaster("pooled", (_fit_map(forecasts, observations, interpolation),))
 
-    cells = grid_points(forecasts, observations)
-    n_incomplete = sum(1 for cell in cells if len(cell.forecasts) < len(observations.times))
+    cols, obs, _ = grid_points(forecasts, observations)
+    counts = observations.mask.sum(axis=0).ravel()  # valid time steps per cell, row-major
+    n_incomplete = np.count_nonzero(counts < len(observations.times))
     if n_incomplete:
         logger.info("%d of %d cells have missing observations excluded from fitting",
-                    n_incomplete, len(cells))
+                    n_incomplete, counts.size)
     if scope == "pooled":
-        cols = ForecastColumns.concat(cell.forecasts for cell in cells)
-        obs = np.concatenate([cell.observations for cell in cells])
         return CalibratedForecaster("pooled", (_fit_map(cols, obs, interpolation),))
 
-    maps = []
-    for cell in cells:
-        if len(cell.forecasts) < min_points_per_cell:
-            raise ValueError(f"cell ({cell.row}, {cell.col}) has {len(cell.forecasts)} calibration "
-                             f"points, need at least {min_points_per_cell}")
-        maps.append(_fit_map(cell.forecasts, cell.observations, interpolation))
-    return CalibratedForecaster("per_cell", tuple(maps), h=observations.h, w=observations.w)
+    short = np.flatnonzero(counts < min_points_per_cell)
+    if short.size:
+        r, c = divmod(int(short[0]), observations.w)
+        raise ValueError(f"cell ({r}, {c}) has {counts[short[0]]} calibration "
+                         f"points, need at least {min_points_per_cell}")
+    ends = np.cumsum(counts).tolist()
+    maps = tuple(_fit_map(cols[start:end], obs[start:end], interpolation)
+                 for start, end in zip([0] + ends, ends))
+    return CalibratedForecaster("per_cell", maps, h=observations.h, w=observations.w)
 
 
 def calibrated_cdf(cf: CalibratedForecaster, d: PredictiveDist, y: float,

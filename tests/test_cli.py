@@ -113,6 +113,15 @@ class TestCalibrateCommand:
         assert "scope: pooled" in out
         assert "calibration points: 100" in out
 
+    @pytest.mark.parametrize("value", ["0", "1", "-3"])
+    def test_min_points_per_cell_below_two_is_usage_error(self, tmp_path, capsys, value):
+        fc, obs = synth_files(tmp_path, "mp", grid="2x2x10", seed="4")
+        capsys.readouterr()
+        assert run("calibrate", "--forecasts", fc, "--observations", obs, "--scope", "per-cell",
+                   "--min-points-per-cell", value, "--out", tmp_path / "m.json") == 1
+        assert capsys.readouterr().err == (
+            f"isocal: usage error: --min-points-per-cell must be at least 2, got {value}\n")
+
     @pytest.mark.parametrize("scope", ["pooled", "per-cell"])
     def test_summary_counts_missing_observations(self, tmp_path, capsys, scope):
         fc, obs = synth_files(tmp_path, "m", grid="2x3x40", seed="4")
@@ -319,10 +328,52 @@ class TestReliabilityCommand:
         assert run("calibrate", "--forecasts", fc, "--observations", obs,
                    "--scope", "per-cell", "--min-points-per-cell", "10", "--out", model) == 0
         out = tmp_path / "pooled_curve.csv"
+        levels = ("--levels", "0.25,0.5,0.75")
         assert run("reliability", "--forecasts", fc, "--observations", obs,
-                   "--model", model, "--levels", "0.25,0.5,0.75", "--out", out) == 0
+                   "--model", model, *levels, "--out", out) == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 4
+        # The pooled curve counts the covered points of every cell's curve.
+        cells = [arg for rc in ("0,0", "0,1", "1,0", "1,1") for arg in ("--cell", rc)]
+        assert run("reliability", "--forecasts", fc, "--observations", obs,
+                   "--model", model, *levels, *cells, "--out", out) == 0
+        counts = sum(np.round(np.loadtxt(tmp_path / f"pooled_curve_cell{r}-{c}.csv", delimiter=",",
+                                         skiprows=1, usecols=1) * 80)
+                     for r in (0, 1) for c in (0, 1))
+        assert lines[1:] == [f"{p:.9g},{k / 320:.9g},1" for p, k in zip((0.25, 0.5, 0.75), counts)]
+
+    def test_pooled_per_cell_coverage_is_the_exact_count(self, tmp_path):
+        """15 of 62 points covered is 15/62 exactly, through a per-cell
+        identity model as without a model; weighting each cell's fraction
+        by its size, 22 * (15/22) / 62, misses it by an ulp."""
+        t = 40
+        first = ["-5.0"] * 15 + ["5.0"] * 7 + ["NaN"] * 18
+        fc, obs, model = tmp_path / "fc.csv", tmp_path / "obs.csv", tmp_path / "m.json"
+        fc.write_text("time,row,col,mean,std\n" + "".join(
+            f"{i},0,{c},0.0,1.0\n" for i in range(t) for c in (0, 1)))
+        obs.write_text("time,row,col,value\n" + "".join(
+            f"{i},0,0,{first[i]}\n{i},0,1,5.0\n" for i in range(t)))
+        identity = {"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]}
+        model.write_text(json.dumps({"version": 1, "scope": "per_cell", "h": 1, "w": 2,
+                                     "interpolation": "linear", "maps": [identity, identity]}))
+        files = ("--forecasts", fc, "--observations", obs, "--levels", "0.5")
+        assert run("evaluate", *files, "--model", model, "--out", tmp_path / "r.json") == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["calibrated"]["coverage"]["0.5"] == report["uncalibrated"]["coverage"]["0.5"] == 15 / 62
+        assert run("reliability", *files, "--model", model, "--out", tmp_path / "cal.csv") == 0
+        assert run("reliability", *files, "--out", tmp_path / "raw.csv") == 0
+        assert (tmp_path / "cal.csv").read_text() == (tmp_path / "raw.csv").read_text() \
+            == f"level,empirical,weight\n0.5,{15 / 62:.9g},1\n"
+
+    def test_cell_without_observations_is_named(self, tmp_path, capsys):
+        fc, obs = synth_files(tmp_path, "empty", grid="2x2x40", seed="9")
+        lines = obs.read_text().splitlines()
+        obs.write_text("\n".join(line.rsplit(",", 1)[0] + ",NaN" if line.split(",")[1:3] == ["1", "1"]
+                                 else line for line in lines) + "\n")
+        capsys.readouterr()
+        assert run("reliability", "--forecasts", fc, "--observations", obs,
+                   "--cell", "0,1", "--cell", "1,1", "--out", tmp_path / "c.csv") == 3
+        assert capsys.readouterr().err == "isocal: error: cell (1, 1) has no valid observations\n"
 
 
 class TestUsage:

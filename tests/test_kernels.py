@@ -131,7 +131,9 @@ def test_batched_inverse_matches_map_by_map(specs, ps):
         assert np.array_equal(row, [ref_inverse(m, pi) for pi in p])
     per_cell = CalibratedForecaster("per_cell", tuple(maps), h=1, w=len(maps))
     for c, m in enumerate(maps):
-        assert np.array_equal(per_cell.inverse(p, (0, c)), m.inverse(p))
+        assert np.array_equal(table[per_cell._map_index((0, c))], m.inverse(p))
+    cells = (np.zeros(len(maps), dtype=int), np.arange(len(maps)))
+    assert np.array_equal(table[per_cell._map_index(cells)], table)
 
 
 def test_batched_inverse_spans_several_blocks():
@@ -194,25 +196,86 @@ def test_per_cell_equals_pooled_on_one_cell(kind):
     per_cell = fit_calibrator(fs, gs, scope="per_cell")
     assert np.array_equal(pooled.maps[0].breakpoints, per_cell.maps[0].breakpoints)
     assert np.array_equal(pooled.maps[0].values, per_cell.maps[0].values)
-    (cell,) = grid_points(fs, gs)
-    args = (cell.forecasts, cell.observations)
+    forecasts, obs, _ = grid_points(fs, gs)
+    args = (forecasts, obs)
     assert np.array_equal(reliability_curve(*args, LEVELS, pooled).empirical,
                           reliability_curve(*args, LEVELS, per_cell, (0, 0)).empirical)
     assert mae_mid_quantile(*args, pooled) == mae_mid_quantile(*args, per_cell, (0, 0))
-    assert sharpness(cell.forecasts, pooled) == sharpness(cell.forecasts, per_cell, (0, 0))
+    assert sharpness(forecasts, pooled) == sharpness(forecasts, per_cell, (0, 0))
 
 
 def test_per_cell_errors_name_the_cell():
     flat = IsotonicMap([0.2, 0.8], [0.3, 0.6])
     fine = IsotonicMap([0.0, 1.0], [0.0, 1.0])
-    cf = CalibratedForecaster("per_cell", (fine, fine, flat, fine), h=2, w=2)
+    cf = CalibratedForecaster("per_cell", (fine, fine, flat, flat), h=2, w=2)
     cols = ForecastColumns(means=[0.0], stds=[1.0])
     assert sharpness(cols, cf, (0, 1)) > 0.0
     with pytest.raises(ValueError, match=r"too degenerate for sharpness in cell \(1, 0\)"):
         sharpness(cols, cf, (1, 0))
+    # Per-forecast cells: the first degenerate map in row-major order that
+    # some forecast reads; maps no forecast reads are not checked.
+    three = ForecastColumns(means=[0.0, 1.0, 2.0], stds=[1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"too degenerate for sharpness in cell \(1, 0\)"):
+        sharpness(three, cf, (np.array([1, 0, 1]), np.array([1, 0, 0])))
+    assert sharpness(three, cf, (np.array([0, 0, 0]), np.array([1, 0, 1]))) > 0.0
     times = tuple(range(40))
     values = np.zeros((40, 2, 3))
     values[5:, 1, 2] = np.nan
     fs = ForecastSeries(times=times, means=np.zeros((40, 2, 3)), stds=np.ones((40, 2, 3)))
     with pytest.raises(ValueError, match=r"cell \(1, 2\) has 5 calibration points"):
         fit_calibrator(fs, GridSeries(times=times, values=values), scope="per_cell")
+
+
+def per_cell_loop(forecasts, obs, cell, cf, levels):
+    """The reference: evaluation of a per-cell model one cell at a time,
+    pooled by point counts, as the CLI did before one call took every
+    cell. Cells without points are skipped. Gives the covered counts per
+    level, the pooled MAE and the pooled sharpness."""
+    rows, cols = cell
+    total, counts, mae, spread = 0, np.zeros(len(levels)), 0.0, 0.0
+    for r, c in np.ndindex(cf.h, cf.w):
+        here = np.flatnonzero((rows == r) & (cols == c))
+        if here.size:
+            f, o = forecasts[here], obs[here]
+            counts += np.round(reliability_curve(f, o, levels, cf, (r, c)).empirical * here.size)
+            mae += here.size * mae_mid_quantile(f, o, cf, (r, c))
+            spread += here.size * sharpness(f, cf, (r, c))
+            total += here.size
+    return counts, mae / total, spread / total
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "ensemble"])
+def test_one_call_over_all_cells_matches_the_per_cell_loop(kind):
+    rng = np.random.default_rng(23)
+    t, h, w = 60, 3, 4
+    times = tuple(range(t))
+
+    def grids(drop):
+        centre = rng.uniform(-3, 3, size=(t, h, w))
+        values = centre + rng.normal(size=(t, h, w))
+        values[rng.uniform(size=(t, h, w)) < drop] = np.nan
+        if kind == "gaussian":
+            fs = ForecastSeries(times=times, means=centre, stds=np.full((t, h, w), 2.0))
+        else:
+            fs = ForecastSeries(times=times, samples=centre[..., None] + 2.0 * rng.normal(size=(t, h, w, 20)))
+        return fs, GridSeries(times=times, values=values)
+
+    fitted = fit_calibrator(*grids(0.0), scope="per_cell")
+    # Cell (2, 1) has no observation to evaluate, and a map too flat for
+    # sharpness: it is skipped, as the loop skips it.
+    maps = list(fitted.maps)
+    maps[2 * w + 1] = IsotonicMap([0.2, 0.8], [0.3, 0.6])
+    cf = CalibratedForecaster("per_cell", tuple(maps), h=h, w=w)
+    fs, gs = grids(0.3)  # ragged cells
+    values = gs.values.copy()
+    values[:, 2, 1] = np.nan
+    forecasts, obs, cell = grid_points(fs, GridSeries(times=times, values=values))
+    assert len(set(np.bincount(cell[0] * w + cell[1], minlength=h * w))) > 3
+
+    counts, mae, spread = per_cell_loop(forecasts, obs, cell, cf, LEVELS)
+    assert np.array_equal(reliability_curve(forecasts, obs, LEVELS, cf, cell).empirical,
+                          counts / obs.size)
+    assert mae_mid_quantile(forecasts, obs, cf, cell) == pytest.approx(mae, rel=1e-12)
+    assert sharpness(forecasts, cf, cell) == pytest.approx(spread, rel=1e-12)
+    with pytest.raises(ValueError, match="cells for"):
+        sharpness(forecasts, cf, (cell[0][1:], cell[1][1:]))

@@ -130,9 +130,11 @@ class TestFitCalibrator:
         cf = fit_calibrator(fs, gs, scope="per_cell", min_points_per_cell=30)
         assert cf.scope == "per_cell"
         assert len(cf.maps) == 4
-        cells = grid_points(fs, gs)
-        assert len(cells[0].forecasts) == t - 1
-        assert len(cells[1].forecasts) == t
+        forecasts, obs, (rows, cols) = grid_points(fs, gs)
+        assert np.count_nonzero((rows == 0) & (cols == 0)) == t - 1
+        assert np.count_nonzero((rows == 0) & (cols == 1)) == t
+        assert np.all(np.diff(rows * w + cols) >= 0)  # cell-major
+        assert np.array_equal(obs, np.moveaxis(values, 0, -1)[np.isfinite(np.moveaxis(values, 0, -1))])
 
 
 class TestCalibratedQueries:
@@ -294,3 +296,10 @@ class TestGridAlignment:
             per_cell.map_for((2, 0))
         with pytest.raises(ValueError, match="requires a cell"):
             per_cell.map_for(None)
+        rows, cols = np.array([0, 1, 1, 0]), np.array([1, 0, 1, 0])
+        assert np.array_equal(per_cell._map_index((rows, cols)), [1, 2, 3, 0])
+        assert cf._map_index((rows, cols)) == 0
+        with pytest.raises(ValueError, match=r"cell out of range: \(2, 1\) for 2x2 grid"):
+            per_cell._map_index((np.array([0, 2, 5]), np.array([1, 1, 0])))
+        with pytest.raises(ValueError, match=r"cell out of range: \(0, -1\)"):
+            per_cell._map_index((np.array([0, 0]), np.array([0, -1])))
