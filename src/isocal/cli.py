@@ -107,10 +107,21 @@ def _level_key(p: float) -> str:
     return format(p, "g")
 
 
-def _check_out_distinct(out_path, in_paths):
-    resolved = {Path(p).resolve() for p in in_paths if p}
-    if out_path and Path(out_path).resolve() in resolved:
-        raise UsageError(f"output path {out_path!r} would overwrite an input file")
+def _cell_path(out, cell) -> Path:
+    return Path(out).with_stem(f"{Path(out).stem}_cell{cell[0]}-{cell[1]}")
+
+
+def _check_outputs(args):
+    """Refuse an output path that names an input or another output."""
+    outs = ([_cell_path(args.out, cell) for cell in args.cell] if getattr(args, "cell", None) else
+            [getattr(args, name, None) for name in ("out", "out_forecasts", "out_observations")])
+    taken = {Path(p).resolve(): "an input file" for p in
+             (getattr(args, name, None) for name in ("forecasts", "observations", "model")) if p}
+    for out in filter(None, outs):
+        path = Path(out).resolve()
+        if path in taken:
+            raise UsageError(f"output path {str(out)!r} would overwrite {taken[path]}")
+        taken[path] = "another output"
 
 
 def _load_grids(args):
@@ -225,7 +236,6 @@ def cmd_reliability(args) -> int:
     levels = args.levels
 
     if args.cell:
-        out = Path(args.out)
         for r, c in args.cell:
             if not (r < gs.h and c < gs.w):
                 raise ValueError(f"cell out of range: ({r}, {c}) for {gs.h}x{gs.w} grid")
@@ -233,7 +243,7 @@ def cmd_reliability(args) -> int:
             if not here.any():
                 raise ValueError(f"cell ({r}, {c}) has no valid observations")
             curve = reliability_curve(forecasts[here], obs[here], levels, model, (r, c))
-            path = out.with_name(f"{out.stem}_cell{r}-{c}{out.suffix}")
+            path = _cell_path(args.out, (r, c))
             write_reliability_csv(curve, path)
             print(f"curve: {path}")
         return EXIT_OK
@@ -320,11 +330,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
 
     try:
-        out_paths = [getattr(args, name, None) for name in ("out", "out_forecasts", "out_observations")]
-        in_paths = [getattr(args, name, None) for name in ("forecasts", "observations", "model")]
-        for out in out_paths:
-            if out:
-                _check_out_distinct(out, in_paths)
+        _check_outputs(args)
         return args.func(args)
     except UsageError as exc:
         print(f"isocal: usage error: {exc}", file=sys.stderr)

@@ -8,8 +8,10 @@ calibrator. Under per-cell scope a ``cell`` selects the maps: one
 rows and columns (as `grid_points` returns them). The inverses of all
 maps turn the nominal levels into one table of raw levels, maps x
 levels, and each forecast reads its map's row of it; a pooled map, or
-no calibrator, is the one-row table every forecast shares. Reductions
-run in fixed input order so repeated runs are bit-identical.
+no calibrator, is the one-row table every forecast shares. Coverage
+compares each outcome's P(X < y) with its raw level and forms no
+quantile. Reductions run in fixed input order so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .isotonic import inverse_maps
-from .predictive import ForecastColumns, PredictiveDist, columns_by_kind, level_blocks
+from .predictive import ForecastColumns, PredictiveDist, columns_by_kind
 # perfbench/tracing.py counts calls made through these names of this module.
 from .predictive import quantile, variance  # noqa: F401
 from .recalibration import SATURATION_LEVEL_HI, SATURATION_LEVEL_LO, CalibratedForecaster
@@ -94,22 +96,17 @@ def interval_coverage(lows, highs, observations) -> float:
 
 def _raw_levels(calibrator, cell, levels: np.ndarray, n: int):
     """Raw levels that the calibrated ``levels`` map back to, maps x levels
-    and clamped near 0 and 1; the row each of the ``n`` forecasts reads (a
-    scalar when all read one); and which entries saturate (exactly 0 or 1)."""
+    and clamped near 0 and 1; the row each of the ``n`` forecasts reads;
+    and which entries saturate (exactly 0 or 1)."""
     if calibrator is None:
-        return levels[None, :], 0, np.zeros((1, levels.size), dtype=bool)
+        return levels[None, :], np.zeros(n, dtype=np.intp), np.zeros((1, levels.size), dtype=bool)
     index = calibrator._map_index(cell)
     if np.ndim(index) and np.shape(index) != (n,):
         raise ValueError(f"{np.size(index)} cells for {n} forecasts")
     raw = inverse_maps(calibrator.maps, levels)
     saturated = (raw == 0.0) | (raw == 1.0)
     raw = np.where(raw == 0.0, SATURATION_LEVEL_LO, raw)
-    return np.where(raw == 1.0, SATURATION_LEVEL_HI, raw), index, saturated
-
-
-def _of_rows(index, rows):
-    """The table rows that the forecasts at ``rows`` read."""
-    return index[rows] if np.ndim(index) else index
+    return np.where(raw == 1.0, SATURATION_LEVEL_HI, raw), np.broadcast_to(index, (n,)), saturated
 
 
 def reliability_curve(
@@ -121,6 +118,10 @@ def reliability_curve(
 ) -> ReliabilityCurve:
     """Observed frequency of staying below the (calibrated) upper bound
     at each nominal level. Weights are all 1.
+
+    The quantile at raw level r covers y exactly when P(X < y) <= r, so
+    each map counts its points' sorted strict CDF values at or below its
+    raw levels; no quantile is formed, and in-sample coverage is exact.
     """
     levels_arr = np.asarray(levels, dtype=np.float64)
     if levels_arr.ndim != 1 or levels_arr.size == 0:
@@ -135,13 +136,15 @@ def reliability_curve(
     if len(forecasts) != obs.size:
         raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
     raw, index, _ = _raw_levels(calibrator, cell, levels_arr, obs.size)
-    covered = np.zeros(levels_arr.size, dtype=np.int64)
+    below = np.empty(obs.size)
     for rows, cols in columns_by_kind(forecasts):
-        obs_rows = obs[rows][:, None]
-        for block in level_blocks(len(cols), levels_arr.size):
-            quantiles = cols.quantiles(raw[:, block], _of_rows(index, rows))
-            covered[block] += np.count_nonzero(obs_rows <= quantiles, axis=0)
-    return ReliabilityCurve(levels_arr, covered / obs.size, np.ones_like(levels_arr))
+        below[rows] = cols.cdf(obs[rows], strict=True)
+    below[np.isnan(obs)] = 1.0  # above every raw level: a missing outcome is never covered
+    keys = np.sort(index + 1j * below)  # by map, then by P(X < y)
+    maps = np.arange(len(raw))
+    covered = (np.searchsorted(keys, maps[:, None] + 1j * raw, side="right")
+               - np.searchsorted(keys.real, maps)[:, None])
+    return ReliabilityCurve(levels_arr, covered.sum(axis=0) / obs.size, np.ones_like(levels_arr))
 
 
 def calibration_error(curve: ReliabilityCurve, variant: str = "absolute") -> float:
@@ -189,7 +192,7 @@ def sharpness(
     spread = np.empty(len(forecasts))
     for rows, cols in columns_by_kind(forecasts):
         spread[rows] = (cols.variance() if calibrator is None
-                        else cols.level_variance(raw, _of_rows(index, rows)))
+                        else cols.level_variance(raw, index[rows]))
     return float(np.mean(spread))
 
 
@@ -206,7 +209,7 @@ def mae_mid_quantile(
     raw, index, _ = _raw_levels(calibrator, cell, np.array([0.5]), obs.size)
     medians = np.empty(obs.size)
     for rows, cols in columns_by_kind(forecasts):
-        medians[rows] = cols.quantiles(raw, _of_rows(index, rows))[:, 0]
+        medians[rows] = cols.quantiles(raw, index[rows])[:, 0]
     return float(np.mean(np.abs(obs - medians)))
 
 

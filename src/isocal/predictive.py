@@ -33,11 +33,8 @@ __all__ = [
     "from_samples",
     "columns_by_kind",
     "forecast_arrays",
-    "level_blocks",
 ]
 
-# Upper bound on the quantiles a kernel caller holds at once (n x levels).
-_BLOCK = 1 << 16
 # Levels per step of the normal quantile, which holds about 80 bytes of
 # temporaries per level.
 _AS241_BLOCK = 1 << 14
@@ -196,13 +193,6 @@ class Empirical:
 PredictiveDist = Gaussian | Empirical
 
 
-def level_blocks(n_rows: int, n_levels: int) -> list[slice]:
-    """Consecutive level ranges small enough that n_rows x range quantiles
-    stay within a fixed budget."""
-    step = max(1, _BLOCK // max(n_rows, 1))
-    return [slice(start, start + step) for start in range(0, n_levels, step)]
-
-
 @dataclass(frozen=True, eq=False)
 class ForecastColumns:
     """n forecasts of one kind as arrays, the form every kernel works on.
@@ -238,12 +228,14 @@ class ForecastColumns:
             return _checked_columns(means=self.means[rows], stds=self.stds[rows])
         return _checked_columns(samples=self.samples[rows])
 
-    def cdf(self, y) -> np.ndarray:
+    def cdf(self, y, strict: bool = False) -> np.ndarray:
         """Each forecast's CDF at its own outcome: ``y`` has one entry per row.
 
         Ensembles follow the interpolated plotting-position convention:
         piecewise linear through (x_(j), (j - 0.5)/k), 0 below the smallest
-        member and 1 above the largest.
+        member and 1 above the largest. With ``strict`` an ensemble gives
+        P(X < y): members equal to y count as above it, so y at a member
+        takes the first equal member's position, and 0 at the smallest.
         """
         y = np.asarray(y, dtype=np.float64)
         if self.samples is None:
@@ -251,16 +243,17 @@ class ForecastColumns:
         xs = self.samples
         k = xs.shape[1]
         rows = np.arange(len(xs))
-        at_or_below = np.count_nonzero(xs <= y[:, None], axis=1)
-        lo = xs[rows, np.maximum(at_or_below - 1, 0)]
-        hi = xs[rows, np.minimum(at_or_below, k - 1)]
-        p_lo = (at_or_below - 0.5) / k
-        p_hi = (at_or_below + 0.5) / k
-        between = (at_or_below > 0) & (at_or_below < k) & (lo != y)
+        below = np.count_nonzero(xs < y[:, None] if strict else xs <= y[:, None], axis=1)
+        lo = xs[rows, np.maximum(below - 1, 0)]
+        hi = xs[rows, np.minimum(below, k - 1)]
+        p_lo = (below - 0.5) / k
+        p_hi = (below + 0.5) / k
+        member = hi == y if strict else lo == y
+        between = (below > 0) & (below < k) & ~member
         frac = np.where(between, y - lo, 0.0) / np.where(between, hi - lo, 1.0)
-        out = p_lo + frac * (p_hi - p_lo)  # p_lo itself where y is a member
-        out[at_or_below == 0] = 0.0
-        out[(at_or_below == k) & (lo != y)] = 1.0
+        out = np.where(member, p_hi if strict else p_lo, p_lo + frac * (p_hi - p_lo))
+        out[below == 0] = 0.0
+        out[(below == k) & ~member] = 1.0
         return out
 
     def quantiles(self, p, index=0) -> np.ndarray:
@@ -285,9 +278,7 @@ class ForecastColumns:
         positions, j, at, between = _plotting_lookup(p, k)
         width, offset = positions[j + 1] - positions[j], p - positions[j]
         j, at, between, width, offset = (a[index] for a in (j, at, between, width, offset))
-        # A shared row of levels reads member columns, much faster than a
-        # row-and-column gather.
-        rows = slice(None) if j.ndim == 1 else np.arange(len(xs))[:, None]
+        rows = np.arange(len(xs))[:, None]
         lo = xs[rows, j]
         slope = (xs[rows, j + 1] - lo) / width
         return np.where(between, slope * offset + lo, xs[rows, at])

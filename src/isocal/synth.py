@@ -120,12 +120,9 @@ def _true_means(cfg: SynthConfig) -> np.ndarray:
     return field.reshape(-1)
 
 
-def generate(cfg: SynthConfig) -> tuple[list[PredictiveDist], np.ndarray]:
-    """Draw forecasts and matching observations, deterministically in the seed.
-
-    Returns the forecast list and an observation array of length ``cfg.n``;
-    grid-mode samples are flattened time-major, row-major.
-    """
+def _draw(cfg: SynthConfig) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """Forecast arrays by `ForecastSeries` field (members sorted per row)
+    and the observations, both flattened as `generate` returns them."""
     n = cfg.n
     kd = cfg.k if cfg.mode == "sample_set" else 0
     stride = np.uint64(3 + kd)
@@ -139,14 +136,23 @@ def generate(cfg: SynthConfig) -> tuple[list[PredictiveDist], np.ndarray]:
     fmean = mu + cfg.bias
     fstd = cfg.alpha * sigma
     if cfg.mode == "gaussian_params":
-        forecasts: list[PredictiveDist] = [Gaussian(float(m), float(s)) for m, s in zip(fmean, fstd)]
-    else:
-        member_z = np.empty((n, kd))
-        for j in range(kd):
-            member_z[:, j] = _normals(cfg.seed, base + np.uint64(3 + j))
-        member_vals = fmean[:, None] + fstd[:, None] * member_z
-        forecasts = [Empirical(row) for row in member_vals]
-    return forecasts, observations
+        return {"means": fmean, "stds": fstd}, observations
+    member_z = np.empty((n, kd))
+    for j in range(kd):
+        member_z[:, j] = _normals(cfg.seed, base + np.uint64(3 + j))
+    return {"samples": np.sort(fmean[:, None] + fstd[:, None] * member_z, axis=1)}, observations
+
+
+def generate(cfg: SynthConfig) -> tuple[list[PredictiveDist], np.ndarray]:
+    """Draw forecasts and matching observations, deterministically in the seed.
+
+    Returns the forecast list and an observation array of length ``cfg.n``;
+    grid-mode samples are flattened time-major, row-major.
+    """
+    params, observations = _draw(cfg)
+    if "samples" in params:
+        return [Empirical(row) for row in params["samples"]], observations
+    return [Gaussian(float(m), float(s)) for m, s in zip(params["means"], params["stds"])], observations
 
 
 def generate_gridded(cfg: SynthConfig) -> tuple[ForecastSeries, GridSeries]:
@@ -155,18 +161,11 @@ def generate_gridded(cfg: SynthConfig) -> tuple[ForecastSeries, GridSeries]:
     Without an explicit grid the dataset becomes a T x 1 x 1 series with
     T = n, so flat configurations still flow through the CSV pipeline.
     """
-    forecasts, observations = generate(cfg)
+    params, observations = _draw(cfg)
     h, w, t = cfg.grid if cfg.grid is not None else (1, 1, cfg.n)
     times = tuple(range(t))
-    obs_grid = GridSeries(times=times, values=observations.reshape(t, h, w))
-    if cfg.mode == "gaussian_params":
-        means = np.array([d.mean for d in forecasts]).reshape(t, h, w)
-        stds = np.array([d.std for d in forecasts]).reshape(t, h, w)
-        fs = ForecastSeries(times=times, means=means, stds=stds)
-    else:
-        samples = np.stack([d.samples for d in forecasts]).reshape(t, h, w, cfg.k)
-        fs = ForecastSeries(times=times, samples=samples)
-    return fs, obs_grid
+    grids = {name: arr.reshape((t, h, w) + arr.shape[1:]) for name, arr in params.items()}
+    return ForecastSeries(times=times, **grids), GridSeries(times=times, values=observations.reshape(t, h, w))
 
 
 def true_recalibration_map(alpha: float, p):

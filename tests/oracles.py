@@ -9,6 +9,9 @@ shares anything with a pool-adjacent-violators implementation.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from itertools import accumulate
+
 import numpy as np
 from mpmath import erfinv, log, mp, mpf, ncdf, npdf, sqrt
 
@@ -47,16 +50,18 @@ def isotonic_exact(ys, ws=None):
 
     Every way of cutting the sequence into consecutive blocks is tried;
     blocks are fitted by their weighted means and partitions with
-    decreasing means are discarded. Returns (fitted values, objective).
-    Exponential in n, fine for n <= ~12.
+    decreasing means are discarded. Means and objectives are exact
+    rationals, so partitions whose objectives differ below float
+    resolution are still told apart. Returns (fitted values, objective)
+    as floats. Exponential in n, fine for n <= ~12.
     """
-    y = np.asarray(ys, dtype=np.float64)
-    w = np.ones_like(y) if ws is None else np.asarray(ws, dtype=np.float64)
-    n = y.size
-    pref_w = np.r_[0.0, np.cumsum(w)]
-    pref_wy = np.r_[0.0, np.cumsum(w * y)]
+    y = [Fraction(v) for v in np.asarray(ys, dtype=np.float64)]
+    w = [Fraction(1)] * len(y) if ws is None else [Fraction(v) for v in np.asarray(ws, dtype=np.float64)]
+    n = len(y)
+    pref_w = [Fraction(0)] + list(accumulate(w))
+    pref_wy = [Fraction(0)] + list(accumulate(wi * yi for wi, yi in zip(w, y)))
 
-    best_obj = np.inf
+    best_obj = None
     best_fit = None
     for mask in range(1 << (n - 1)):
         cuts = [0] + [i + 1 for i in range(n - 1) if mask >> i & 1] + [n]
@@ -64,14 +69,12 @@ def isotonic_exact(ys, ws=None):
                  for a, b in zip(cuts, cuts[1:])]
         if any(m2 < m1 for m1, m2 in zip(means, means[1:])):
             continue
-        fit = np.empty(n)
-        for (a, b), m in zip(zip(cuts, cuts[1:]), means):
-            fit[a:b] = m
-        obj = float(np.sum(w * (fit - y) ** 2))
-        if obj < best_obj:
+        fit = [m for (a, b), m in zip(zip(cuts, cuts[1:]), means) for _ in range(b - a)]
+        obj = sum(wi * (fi - yi) ** 2 for wi, fi, yi in zip(w, fit, y))
+        if best_obj is None or obj < best_obj:
             best_obj = obj
             best_fit = fit
-    return best_fit, best_obj
+    return np.array([float(f) for f in best_fit]), float(best_obj)
 
 
 def isotonic_grid_objective(ys, ws=None, step: float = 1e-3) -> float:

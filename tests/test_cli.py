@@ -58,6 +58,14 @@ class TestSynthCommand:
                    "--out-observations", tmp_path / "o.csv")
         assert code == 1
 
+    def test_paired_outputs_must_differ(self, tmp_path, capsys):
+        same = tmp_path / "same.csv"
+        capsys.readouterr()
+        assert run("synth", "--n", "10", "--out-forecasts", same, "--out-observations", same) == 1
+        assert capsys.readouterr().err == (f"isocal: usage error: output path {str(same)!r} "
+                                           "would overwrite another output\n")
+        assert not same.exists()
+
     def test_needs_exactly_one_size_flag(self, tmp_path):
         code = run("synth", "--out-forecasts", tmp_path / "f.csv",
                    "--out-observations", tmp_path / "o.csv")
@@ -301,6 +309,21 @@ class TestReliabilityCommand:
                    "--model", model, "--cell", "0,0", "--cell", "1,1", "--out", out) == 0
         assert (tmp_path / "curve_cell0-0.csv").exists()
         assert (tmp_path / "curve_cell1-1.csv").exists()
+
+    def test_cell_output_may_not_clobber_input(self, tmp_path, capsys):
+        fc, obs = tmp_path / "fc.csv", tmp_path / "curve_cell0-0.csv"
+        assert run("synth", "--grid", "2x2x40", "--seed", "9",
+                   "--out-forecasts", fc, "--out-observations", obs) == 0
+        before = obs.read_bytes()
+        capsys.readouterr()
+        assert run("reliability", "--forecasts", fc, "--observations", obs, "--cell", "1,1",
+                   "--cell", "0,0", "--out", tmp_path / "curve.csv") == 1
+        assert capsys.readouterr().err == (f"isocal: usage error: output path {str(obs)!r} "
+                                           "would overwrite an input file\n")
+        assert obs.read_bytes() == before
+        assert not (tmp_path / "curve_cell1-1.csv").exists()  # checked before any write
+        assert run("reliability", "--forecasts", fc, "--observations", obs, "--cell", "1,1",
+                   "--cell", "1,1", "--out", tmp_path / "curve.csv") == 1
 
     def test_cell_out_of_range(self, tmp_path):
         fc, obs = synth_files(tmp_path, "oo", grid="2x2x40", seed="9")

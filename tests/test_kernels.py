@@ -15,6 +15,7 @@ from isocal.gridio import ForecastSeries, GridSeries
 from isocal.isotonic import IsotonicMap, inverse_maps
 from isocal.metrics import (
     SHARPNESS_GRID,
+    _raw_levels,
     calibration_error,
     mae_mid_quantile,
     reliability_curve,
@@ -279,3 +280,100 @@ def test_one_call_over_all_cells_matches_the_per_cell_loop(kind):
     assert sharpness(forecasts, cf, cell) == pytest.approx(spread, rel=1e-12)
     with pytest.raises(ValueError, match="cells for"):
         sharpness(forecasts, cf, (cell[0][1:], cell[1][1:]))
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "ensemble"])
+def test_in_sample_coverage_is_the_exact_count(kind):
+    """Per-cell maps scored on the points they were fitted on: with
+    distinct PIT values, a cell of n points covers level p at exactly
+    1 + #{1 <= i < n : i/n <= p} of them, ties i/n == p included."""
+    rng = np.random.default_rng(37)
+    t, h, w = 120, 3, 4
+    times = tuple(range(t))
+    centre = rng.uniform(-3, 3, size=(t, h, w))
+    if kind == "gaussian":
+        fs = ForecastSeries(times=times, means=centre, stds=np.full((t, h, w), 2.0))
+        values = centre + rng.normal(size=(t, h, w))
+    else:
+        members = centre[..., None] + 2.0 * rng.normal(size=(t, h, w, 20))
+        fs = ForecastSeries(times=times, samples=members)
+        # Inside the members' range, so no PIT value is 0 or 1.
+        low, high = members.min(axis=-1), members.max(axis=-1)
+        values = low + (high - low) * rng.uniform(0.01, 0.99, size=(t, h, w))
+    values[rng.uniform(size=(t, h, w)) < 0.2] = np.nan  # cells of unequal n
+    gs = GridSeries(times=times, values=values)
+    cf = fit_calibrator(fs, gs, scope="per_cell")
+    forecasts, obs, (rows, cols) = grid_points(fs, gs)
+    levels = np.round(np.arange(1, 100) * 0.01, 10)
+    for r, c in np.ndindex(h, w):
+        here = (rows == r) & (cols == c)
+        n = np.count_nonzero(here)
+        pit = forecasts[here].cdf(obs[here])
+        assert np.unique(pit).size == n and pit.min() > 1e-6 and pit.max() < 1 - 1e-6
+        expected = [(1 + np.count_nonzero(np.arange(1, n) / n <= p)) / n for p in levels]
+        curve = reliability_curve(forecasts[here], obs[here], levels, cf, (r, c))
+        assert np.array_equal(curve.empirical, expected)
+
+
+def quantile_path(forecasts, obs, levels, cf, cell):
+    """The reference: coverage as it was counted before it read PIT values,
+    every forecast's n x levels quantiles at its map's raw levels against
+    its outcome. Gives the verdicts and the quantiles, both n x levels."""
+    raw, index, _ = _raw_levels(cf, cell, levels, obs.size)
+    q = forecasts.quantiles(raw, index)
+    return obs[:, None] <= q, q
+
+
+def differential_cases(seed):
+    """(forecasts, observations) of every kind the differential test runs:
+    ensembles of k = 1..7 members on a 0.1 grid, half the outcomes on a
+    member, and Gaussians with half the outcomes on one of their quantiles."""
+    rng = np.random.default_rng(seed)
+    n = 60
+    for k in range(1, 8):
+        xs = rng.integers(-20, 21, size=(n, k)) / 10.0
+        y = rng.integers(-25, 26, size=n) / 10.0
+        on = rng.uniform(size=n) < 0.5
+        y[on] = xs[on, rng.integers(0, k, size=n)[on]]
+        yield ForecastColumns(samples=xs), y
+    cols = ForecastColumns(means=rng.uniform(-5, 5, size=n), stds=rng.uniform(0.1, 3.0, size=n))
+    y = cols.means + cols.stds * rng.normal(size=n)
+    on = rng.uniform(size=n) < 0.5
+    y[on] = cols.quantiles(LEVELS)[on, rng.integers(0, LEVELS.size, size=n)[on]]
+    yield cols, y
+
+
+def differential_models(forecasts, obs, rng):
+    """(calibrator, cell) pairs: none, a pooled fit on the points
+    themselves, a step map, a steep map, a map saturating at both ends, and
+    all of these as one per-cell model that each point reads at random."""
+    maps = (fit_calibrator(forecasts, obs).maps[0],
+            IsotonicMap([0.1, 0.5, 0.9], [0.2, 0.5, 0.9], "step"),
+            IsotonicMap([0.0, 0.4, np.nextafter(0.4, 1.0), 1.0], [0.0, 0.1, 0.9, 1.0]),
+            IsotonicMap([0.2, 0.8], [0.3, 0.6]))
+    yield None, None
+    for m in maps:
+        yield CalibratedForecaster("pooled", (m,)), None
+    cell = (np.zeros(obs.size, dtype=int), rng.integers(0, len(maps), size=obs.size))
+    yield CalibratedForecaster("per_cell", maps, h=1, w=len(maps)), cell
+
+
+def test_coverage_matches_the_quantile_path_up_to_rounding_ties():
+    """A point covers a level exactly when P(X < y) <= r, its raw level.
+    Where that verdict and the quantile comparison disagree, the outcome
+    lies on the quantile up to rounding."""
+    k_positions = [(np.arange(k) + 0.5) / k for k in range(1, 8)]
+    levels = np.unique(np.concatenate([LEVELS, *k_positions]))  # plotting positions too
+    differ = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        for forecasts, obs in differential_cases(seed):
+            for cf, cell in differential_models(forecasts, obs, rng):
+                old, q = quantile_path(forecasts, obs, levels, cf, cell)
+                raw, index, _ = _raw_levels(cf, cell, levels, obs.size)
+                new = forecasts.cdf(obs, strict=True)[:, None] <= raw[index]
+                curve = reliability_curve(forecasts, obs, levels, cf, cell)
+                assert np.array_equal(curve.empirical, np.count_nonzero(new, axis=0) / obs.size)
+                assert np.all(np.abs(obs[:, None] - q)[old != new] <= 1e-14)
+                differ += np.count_nonzero(old != new)
+    assert differ > 0  # the ties are exercised

@@ -89,6 +89,15 @@ class TestReliabilityCurve:
         curve = reliability_curve(forecasts, obs, LEVELS_19, cf)
         assert np.max(np.abs(curve.empirical - curve.levels)) <= 1.0 / np.sqrt(n) + 1.0 / n
 
+    @pytest.mark.parametrize("kind", ["gaussian", "ensemble"])
+    def test_missing_outcome_is_never_covered(self, kind):
+        forecasts = ([Gaussian(0.0, 1.0)] * 3 if kind == "gaussian"
+                     else [Empirical([-1.0, 0.0, 1.0])] * 3)
+        for cf in (None, identity_calibrator()):
+            curve = reliability_curve(forecasts, [np.nan, -0.5, 0.5], LEVELS_19, cf)
+            present = reliability_curve(forecasts[1:], [-0.5, 0.5], LEVELS_19, cf)
+            assert np.array_equal(np.round(curve.empirical * 3), np.round(present.empirical * 2))
+
     def test_mixed_forecast_types(self):
         forecasts = [Gaussian(0.0, 1.0), Empirical([-1.0, 0.0, 1.0])]
         curve = reliability_curve(forecasts, [0.0, 0.0], [0.5])

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isocal
-from isocal.predictive import (Empirical, Gaussian, cdf, from_samples, quantile,
+from isocal.predictive import (Empirical, ForecastColumns, Gaussian, cdf, from_samples, quantile,
                                std_normal_cdf, std_normal_quantile, variance)
 
 import oracles
@@ -42,6 +42,17 @@ def test_empirical_cdf_outside_range():
 def test_empirical_cdf_tied_samples():
     # three of four samples at or below 2, with 2 duplicated
     assert cdf(Empirical([1, 2, 2, 3]), 2.0) == pytest.approx((3 - 0.5) / 4)
+
+
+def test_strict_empirical_cdf_counts_members_below():
+    # P(X < y): tied members equal to y count as above it
+    cols = ForecastColumns(samples=np.tile([1.0, 2.0, 2.0, 3.0], (6, 1)))
+    y = np.array([2.0, 1.0, 0.5, 2.5, 3.0, 4.0])
+    assert cols.cdf(y, strict=True).tolist() == [1.5 / 4, 0.0, 0.0, 0.75, 3.5 / 4, 1.0]
+    assert cols.cdf(y).tolist() == [2.5 / 4, 0.5 / 4, 0.0, 0.75, 3.5 / 4, 1.0]
+    assert ForecastColumns(samples=[[1.0]]).cdf([1.0], strict=True).tolist() == [0.0]
+    gauss = ForecastColumns(means=[0.0, 1.0], stds=[1.0, 2.0])
+    assert np.array_equal(gauss.cdf([0.3, 1.0], strict=True), gauss.cdf([0.3, 1.0]))
 
 
 def test_cdf_rejects_non_finite():
