@@ -236,12 +236,13 @@ def cmd_reliability(args) -> int:
     levels = args.levels
 
     if args.cell:
-        for r, c in args.cell:
+        for r, c in args.cell:  # every cell is checked before any file is written
             if not (r < gs.h and c < gs.w):
                 raise ValueError(f"cell out of range: ({r}, {c}) for {gs.h}x{gs.w} grid")
-            here = (rows == r) & (cols == c)
-            if not here.any():
+            if not np.any((rows == r) & (cols == c)):
                 raise ValueError(f"cell ({r}, {c}) has no valid observations")
+        for r, c in args.cell:
+            here = (rows == r) & (cols == c)
             curve = reliability_curve(forecasts[here], obs[here], levels, model, (r, c))
             path = _cell_path(args.out, (r, c))
             write_reliability_csv(curve, path)

@@ -80,6 +80,17 @@ class ParseError(ValueError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def _time_axis(times, n_slices: int, what: str) -> tuple[int, ...]:
+    """``times`` as ints, one per slice and strictly increasing."""
+    times = tuple(int(t) for t in times)
+    if len(times) != n_slices:
+        raise ValueError(f"{len(times)} times for {n_slices} {what} slices")
+    for i in range(1, len(times)):
+        if times[i] <= times[i - 1]:
+            raise ValueError(f"out-of-order times: {times[i]} at position {i} follows {times[i - 1]}")
+    return times
+
+
 @dataclass(frozen=True, eq=False)
 class GridSeries:
     """T x H x W scalar field indexed by integer times (e.g. months).
@@ -94,15 +105,9 @@ class GridSeries:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 3 or vals.shape[1] < 1 or vals.shape[2] < 1:
             raise ValueError(f"values must be a T x H x W array, got shape {vals.shape}")
-        times = tuple(int(t) for t in self.times)
-        if len(times) != vals.shape[0]:
-            raise ValueError(f"{len(times)} times for {vals.shape[0]} value slices")
-        for i in range(1, len(times)):
-            if times[i] <= times[i - 1]:
-                raise ValueError(f"out-of-order times: {times[i]} at position {i} follows {times[i - 1]}")
+        object.__setattr__(self, "times", _time_axis(self.times, vals.shape[0], "value"))
         vals = vals.copy()
         vals.flags.writeable = False
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", vals)
 
     @property
@@ -135,7 +140,6 @@ class ForecastSeries:
 
     def __post_init__(self):
         arrays = forecast_arrays(self.means, self.stds, self.samples)
-        times = tuple(int(t) for t in self.times)
         if self.samples is None:
             if not (arrays["means"].ndim == 3 and arrays["means"].shape == arrays["stds"].shape):
                 raise ValueError("means and stds must both be T x H x W")
@@ -143,13 +147,7 @@ class ForecastSeries:
             raise ValueError("samples must be T x H x W x k with k >= 2")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
-        n_slices = len(next(iter(arrays.values())))
-        if len(times) != n_slices:
-            raise ValueError(f"{len(times)} times for {n_slices} forecast slices")
-        for i in range(1, len(times)):
-            if times[i] <= times[i - 1]:
-                raise ValueError(f"out-of-order times: {times[i]} at position {i} follows {times[i - 1]}")
-        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "times", _time_axis(self.times, len(next(iter(arrays.values()))), "forecast"))
 
     @property
     def kind(self) -> str:

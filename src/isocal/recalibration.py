@@ -1,13 +1,13 @@
 """Recalibration of predictive CDFs against held-out observations.
 
 For each held-out pair the forecast assigns a CDF value c = F(Y) to the
-outcome; if the forecaster were calibrated these values would be uniform.
-The calibration dataset pairs each c with the empirical fraction of CDF
-values strictly below it, and a monotone map fitted to those pairs turns
-raw CDF levels into empirical ones. Composing the fitted map with a
-forecast CDF yields calibrated probabilities; composing its generalized
-inverse with the raw quantile function yields calibrated quantiles and
-central intervals.
+outcome, its PIT value; if the forecaster were calibrated these would be
+uniform. The recalibration map sends each c to the fraction of PIT values
+strictly below it: the isotonic fit of those pairs, since the fractions
+already rise with c, built directly as the empirical CDF of the PIT
+values. Composing the map with a forecast CDF yields calibrated
+probabilities; composing its generalized inverse with the raw quantile
+function yields calibrated quantiles and central intervals.
 
 A fitted `CalibratedForecaster` holds one pooled map or one map per grid
 cell, and serializes to a single-object JSON model file::
@@ -31,7 +31,9 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gridio import ForecastSeries, GridSeries
-from .isotonic import IsotonicMap, fit_isotonic
+from .isotonic import IsotonicMap
+# perfbench/tracing.py counts calls made through this name of this module.
+from .isotonic import fit_isotonic  # noqa: F401
 from .predictive import ForecastColumns, PredictiveDist, cdf, columns_by_kind, quantile
 
 __all__ = [
@@ -83,9 +85,8 @@ def empirical_cdf_level(cs: Sequence[float], p: float) -> float:
     return float(np.count_nonzero(arr < p)) / arr.size
 
 
-def _pit_levels(forecasts, observations) -> tuple[np.ndarray, np.ndarray]:
-    """Each forecast's CDF value at its outcome, and the fraction of CDF
-    values strictly below it; ties share the level of their common value."""
+def _pit_values(forecasts, observations) -> np.ndarray:
+    """Each forecast's CDF value at its outcome."""
     obs = np.asarray(observations, dtype=np.float64)
     if len(forecasts) != obs.size:
         raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
@@ -96,8 +97,7 @@ def _pit_levels(forecasts, observations) -> tuple[np.ndarray, np.ndarray]:
     c = np.empty(obs.size)
     for rows, cols in columns_by_kind(forecasts):
         c[rows] = cols.cdf(obs[rows])
-    # Strictly-below counts for all points at once via the sorted copy.
-    return c, np.searchsorted(np.sort(c), c, side="left") / c.size
+    return c
 
 
 def build_calibration_dataset(
@@ -108,7 +108,8 @@ def build_calibration_dataset(
     Output order matches input order. Ties among CDF values count strictly,
     so tied points share the empirical level of their common value.
     """
-    c, y = _pit_levels(forecasts, observations)
+    c = _pit_values(forecasts, observations)
+    y = np.searchsorted(np.sort(c), c, side="left") / c.size  # strictly-below counts
     return [CalibrationPair(float(ci), float(yi)) for ci, yi in zip(c, y)]
 
 
@@ -185,11 +186,6 @@ def grid_points(
     return cols, np.moveaxis(observations.values, 0, -1)[valid], (rows, col_index)
 
 
-def _fit_map(forecasts, observations, interpolation: str) -> IsotonicMap:
-    c, y = _pit_levels(forecasts, observations)
-    return fit_isotonic(c, y, interpolation=interpolation)
-
-
 def fit_calibrator(
     forecasts,
     observations,
@@ -202,41 +198,46 @@ def fit_calibrator(
     Inputs are flat sequences, or a `ForecastSeries` with a `GridSeries`.
     Pooled scope concatenates every grid cell into one dataset; per-cell
     scope fits one map per cell and requires gridded inputs with at least
-    ``min_points_per_cell`` valid time steps in each cell. The data used
-    here must stay disjoint from whatever the calibrated forecaster is
-    later evaluated on.
+    ``min_points_per_cell`` (and 2) valid time steps in each cell. The data
+    used here must stay disjoint from whatever the calibrated forecaster is
+    later evaluated on. Each map is the empirical CDF of its PIT values.
     """
     gridded = isinstance(forecasts, ForecastSeries)
     if gridded != isinstance(observations, GridSeries):
         raise ValueError("forecasts and observations must both be flat or both gridded")
     if scope not in ("pooled", "per_cell"):
         raise ValueError(f"unknown scope: {scope!r}")
+    if scope == "per_cell" and not gridded:
+        raise ValueError("per_cell scope requires gridded inputs")
 
-    if not gridded:
+    index, h, w = 0, 0, 0  # one pooled map
+    obs = observations
+    if gridded:
+        forecasts, obs, (rows, cols) = grid_points(forecasts, observations)
+        counts = observations.mask.sum(axis=0).ravel()  # valid time steps per cell, row-major
+        n_incomplete = np.count_nonzero(counts < len(observations.times))
+        if n_incomplete:
+            logger.info("%d of %d cells have missing observations excluded from fitting",
+                        n_incomplete, counts.size)
         if scope == "per_cell":
-            raise ValueError("per_cell scope requires gridded inputs")
-        if not isinstance(forecasts, ForecastColumns):
-            forecasts = list(forecasts)
-        return CalibratedForecaster("pooled", (_fit_map(forecasts, observations, interpolation),))
+            need = max(min_points_per_cell, 2)
+            short = np.flatnonzero(counts < need)
+            if short.size:
+                r, c = divmod(int(short[0]), observations.w)
+                raise ValueError(f"cell ({r}, {c}) has {counts[short[0]]} calibration "
+                                 f"points, need at least {need}")
+            index, h, w = rows * observations.w + cols, observations.h, observations.w
+    elif not isinstance(forecasts, ForecastColumns):
+        forecasts = list(forecasts)
 
-    cols, obs, _ = grid_points(forecasts, observations)
-    counts = observations.mask.sum(axis=0).ravel()  # valid time steps per cell, row-major
-    n_incomplete = np.count_nonzero(counts < len(observations.times))
-    if n_incomplete:
-        logger.info("%d of %d cells have missing observations excluded from fitting",
-                    n_incomplete, counts.size)
-    if scope == "pooled":
-        return CalibratedForecaster("pooled", (_fit_map(cols, obs, interpolation),))
-
-    short = np.flatnonzero(counts < min_points_per_cell)
-    if short.size:
-        r, c = divmod(int(short[0]), observations.w)
-        raise ValueError(f"cell ({r}, {c}) has {counts[short[0]]} calibration "
-                         f"points, need at least {min_points_per_cell}")
-    ends = np.cumsum(counts).tolist()
-    maps = tuple(_fit_map(cols[start:end], obs[start:end], interpolation)
-                 for start, end in zip([0] + ends, ends))
-    return CalibratedForecaster("per_cell", maps, h=observations.h, w=observations.w)
+    key = np.sort(index + 1j * _pit_values(forecasts, obs))  # by map, then PIT value
+    knots = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])  # each map's distinct values
+    m = key.real[knots]
+    start, end = np.searchsorted(key, [m, m + 1])  # each knot's map, as a range of key
+    splits = np.flatnonzero(np.diff(m)) + 1
+    maps = tuple(IsotonicMap(bp, vals, interpolation) for bp, vals in
+                 zip(np.split(key.imag[knots], splits), np.split((knots - start) / (end - start), splits)))
+    return CalibratedForecaster(scope, maps, h=h, w=w)
 
 
 def calibrated_cdf(cf: CalibratedForecaster, d: PredictiveDist, y: float,

@@ -329,7 +329,8 @@ class TestReliabilityCommand:
         fc, obs = synth_files(tmp_path, "oo", grid="2x2x40", seed="9")
         out = tmp_path / "c.csv"
         assert run("reliability", "--forecasts", fc, "--observations", obs,
-                   "--cell", "5,5", "--out", out) == 3
+                   "--cell", "0,0", "--cell", "5,5", "--out", out) == 3
+        assert list(tmp_path.glob("c_cell*.csv")) == []  # no file for the valid cell either
 
     def test_per_cell_equals_pooled_on_one_cell(self, tmp_path):
         fc, obs = synth_files(tmp_path, "one", grid="1x1x200", alpha="2", seed="21")
@@ -397,6 +398,7 @@ class TestReliabilityCommand:
         assert run("reliability", "--forecasts", fc, "--observations", obs,
                    "--cell", "0,1", "--cell", "1,1", "--out", tmp_path / "c.csv") == 3
         assert capsys.readouterr().err == "isocal: error: cell (1, 1) has no valid observations\n"
+        assert list(tmp_path.glob("c_cell*.csv")) == []
 
 
 class TestUsage:

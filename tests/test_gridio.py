@@ -272,6 +272,19 @@ class TestSeriesValidation:
         with pytest.raises(ValueError):
             GridSeries(times=(0,), values=np.zeros((2, 1, 1)))
 
+    @pytest.mark.parametrize("make, what", [
+        (lambda times, t: GridSeries(times=times, values=np.zeros((t, 1, 1))), "value"),
+        (lambda times, t: ForecastSeries(times=times, means=np.zeros((t, 1, 1)),
+                                         stds=np.ones((t, 1, 1))), "forecast"),
+        (lambda times, t: ForecastSeries(times=times, samples=np.zeros((t, 1, 1, 2))), "forecast"),
+    ])
+    def test_time_axis_messages(self, make, what):
+        with pytest.raises(ValueError, match=rf"^2 times for 3 {what} slices$"):
+            make((0, 1), 3)
+        with pytest.raises(ValueError, match=r"^out-of-order times: 5 at position 2 follows 5$"):
+            make((1, 5, 5), 3)
+        assert make((1.0, 4), 2).times == (1, 4)
+
     def test_forecast_series_needs_exactly_one_representation(self):
         with pytest.raises(ValueError):
             ForecastSeries(times=(0,))

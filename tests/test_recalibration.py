@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocal.gridio import ForecastSeries, GridSeries
-from isocal.isotonic import IsotonicMap
+import isocal.isotonic
+import isocal.recalibration
+from isocal.isotonic import IsotonicMap, fit_isotonic
 from isocal.metrics import calibration_error, reliability_curve
-from isocal.predictive import Gaussian, cdf
+from isocal.predictive import Empirical, Gaussian, cdf
 from isocal.recalibration import (
     CalibratedForecaster,
     build_calibration_dataset,
@@ -119,6 +121,25 @@ class TestFitCalibrator:
         with pytest.raises(ValueError, match=r"cell \(0, 0\) has 10"):
             fit_calibrator(fs, gs, scope="per_cell")
 
+    @pytest.mark.parametrize("min_points, valid", [(1, 1), (0, 0)])
+    def test_per_cell_needs_two_points_whatever_the_minimum(self, min_points, valid):
+        times = tuple(range(10))
+        values = np.zeros((10, 2, 2))
+        values[valid:, 1, 0] = np.nan
+        fs = ForecastSeries(times=times, means=np.zeros((10, 2, 2)), stds=np.ones((10, 2, 2)))
+        gs = GridSeries(times=times, values=values)
+        with pytest.raises(ValueError, match=rf"cell \(1, 0\) has {valid} calibration points, need at least 2"):
+            fit_calibrator(fs, gs, scope="per_cell", min_points_per_cell=min_points)
+
+    def test_runs_no_pava(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("fit_isotonic called")
+        for module in (isocal.isotonic, isocal.recalibration):
+            monkeypatch.setattr(module, "fit_isotonic", refuse)
+        fs, gs = reference_grids(5, seed=4)
+        for scope in ("pooled", "per_cell"):
+            fit_calibrator(fs, gs, scope=scope, min_points_per_cell=2)
+
     def test_per_cell_counts_missing_steps(self):
         rng = np.random.default_rng(3)
         t, h, w = 60, 2, 2
@@ -135,6 +156,70 @@ class TestFitCalibrator:
         assert np.count_nonzero((rows == 0) & (cols == 1)) == t
         assert np.all(np.diff(rows * w + cols) >= 0)  # cell-major
         assert np.array_equal(obs, np.moveaxis(values, 0, -1)[np.isfinite(np.moveaxis(values, 0, -1))])
+
+
+def reference_grids(k, seed, t=30, h=3, w=4):
+    """Forecast and observation grids with integer outcomes and some NaNs.
+
+    ``k = 0`` gives Gaussians with integer means and two spreads, so PIT
+    values tie; otherwise integer-valued ensembles of k members, so
+    outcomes often equal a member or fall outside every member (PIT 0 or 1).
+    """
+    rng = np.random.default_rng(seed)
+    values = np.round(rng.normal(scale=2.0, size=(t, h, w)))
+    values[rng.random((t, h, w)) < 0.15] = np.nan
+    if k == 0:
+        fs = ForecastSeries(times=tuple(range(t)), means=np.round(rng.normal(size=(t, h, w))),
+                            stds=rng.choice([1.0, 2.0], size=(t, h, w)))
+    else:
+        fs = ForecastSeries(times=tuple(range(t)), samples=np.round(rng.normal(size=(t, h, w, k))))
+    return fs, GridSeries(times=tuple(range(t)), values=values)
+
+
+def isotonic_reference(forecasts, obs, interpolation):
+    """The PAVA fit of the calibration pairs: what every fitted map must equal."""
+    pairs = build_calibration_dataset(forecasts, obs)
+    return fit_isotonic([p.c for p in pairs], [p.y for p in pairs], interpolation=interpolation)
+
+
+def assert_same_map(got, want):
+    assert got.interpolation == want.interpolation
+    assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+
+
+class TestFitMatchesIsotonicReference:
+    """`fit_calibrator` builds each map directly; PAVA on the calibration
+    pairs is the reference it must match bit for bit."""
+
+    @pytest.mark.parametrize("mode", ["linear", "step"])
+    @pytest.mark.parametrize("k", [0, 2, 5, 20])
+    def test_pooled_and_per_cell(self, k, mode):
+        fs, gs = reference_grids(k, seed=k + 1)
+        cols, obs, (rows, col_index) = grid_points(fs, gs)
+        assert obs.size < gs.values.size  # some observations are missing
+        if k:
+            c = np.array([p.c for p in build_calibration_dataset(cols, obs)])
+            assert (c == 0.0).any() and (c == 1.0).any()
+            assert (cols.samples == obs[:, None]).any()
+        assert_same_map(fit_calibrator(fs, gs, interpolation=mode).maps[0],
+                        isotonic_reference(cols, obs, mode))
+        cf = fit_calibrator(fs, gs, scope="per_cell", interpolation=mode, min_points_per_cell=2)
+        for r in range(gs.h):
+            for c in range(gs.w):
+                here = (rows == r) & (col_index == c)
+                assert_same_map(cf.map_for((r, c)), isotonic_reference(cols[here], obs[here], mode))
+
+    @pytest.mark.parametrize("mode", ["linear", "step"])
+    def test_flat_mixed_list(self, mode):
+        forecasts, obs = [], []
+        for k in (0, 2, 5, 20):
+            cols, o, _ = grid_points(*reference_grids(k, seed=10 + k))
+            forecasts += ([Gaussian(m, s) for m, s in zip(cols.means, cols.stds)] if k == 0
+                          else [Empirical(row) for row in cols.samples])
+            obs += o.tolist()
+        assert_same_map(fit_calibrator(forecasts, obs, interpolation=mode).maps[0],
+                        isotonic_reference(forecasts, obs, mode))
 
 
 class TestCalibratedQueries:
