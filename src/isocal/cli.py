@@ -22,14 +22,17 @@ import numpy as np
 
 from . import gridio
 from .gridio import ParseError, read_forecasts, read_observations
+from .isotonic import INTERPOLATION_MODES
 from .metrics import (
+    CE_VARIANTS,
     calibration_error,
     mae_mid_quantile,
     reliability_curve,
     sharpness,
     write_reliability_csv,
 )
-from .recalibration import fit_calibrator, grid_points, load_model, save_model
+from .recalibration import (DEFAULT_MIN_POINTS_PER_CELL, fit_calibrator, grid_points, load_model,
+                            save_model)
 from .synth import SynthConfig, generate_gridded
 
 __all__ = ["main"]
@@ -233,25 +236,19 @@ def _print_human(report, variant):
 def cmd_reliability(args) -> int:
     gs, (forecasts, obs, (rows, cols)) = _load_grids(args)
     model = _load_model(args, gs)
-    levels = args.levels
-
+    targets = [(args.out, slice(None), (rows, cols))]  # (path, points, cell) per curve
     if args.cell:
         for r, c in args.cell:  # every cell is checked before any file is written
             if not (r < gs.h and c < gs.w):
                 raise ValueError(f"cell out of range: ({r}, {c}) for {gs.h}x{gs.w} grid")
             if not np.any((rows == r) & (cols == c)):
                 raise ValueError(f"cell ({r}, {c}) has no valid observations")
-        for r, c in args.cell:
-            here = (rows == r) & (cols == c)
-            curve = reliability_curve(forecasts[here], obs[here], levels, model, (r, c))
-            path = _cell_path(args.out, (r, c))
-            write_reliability_csv(curve, path)
-            print(f"curve: {path}")
-        return EXIT_OK
-
-    curve = reliability_curve(forecasts, obs, levels, model, (rows, cols))
-    write_reliability_csv(curve, args.out)
-    print(f"curve: {args.out}")
+        targets = [(_cell_path(args.out, cell), (rows == cell[0]) & (cols == cell[1]), cell)
+                   for cell in args.cell]
+    for path, here, cell in targets:
+        curve = reliability_curve(forecasts[here], obs[here], args.levels, model, cell)
+        write_reliability_csv(curve, path)
+        print(f"curve: {path}")
     return EXIT_OK
 
 
@@ -279,8 +276,8 @@ def _build_parser() -> _Parser:
     cal.add_argument("--forecasts", required=True)
     cal.add_argument("--observations", required=True)
     cal.add_argument("--scope", choices=["pooled", "per-cell"], default="pooled")
-    cal.add_argument("--interpolation", choices=["linear", "step"], default="linear")
-    cal.add_argument("--min-points-per-cell", type=int, default=30)
+    cal.add_argument("--interpolation", choices=INTERPOLATION_MODES, default="linear")
+    cal.add_argument("--min-points-per-cell", type=int, default=DEFAULT_MIN_POINTS_PER_CELL)
     cal.add_argument("--out", required=True, help="model JSON path")
     cal.set_defaults(func=cmd_calibrate)
 
@@ -291,7 +288,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--levels", type=_parse_levels, default=_parse_levels(DEFAULT_LEVELS),
                     help=f"START:STOP:STEP or a comma list, at most {MAX_LEVELS} levels "
                          f"(default {DEFAULT_LEVELS})")
-    ev.add_argument("--ce-variant", choices=["signed", "absolute", "squared"], default="absolute")
+    ev.add_argument("--ce-variant", choices=CE_VARIANTS, default="absolute")
     ev.add_argument("--human", action="store_true", help="text table instead of JSON on stdout")
     ev.add_argument("--out", help="write the JSON report here")
     ev.set_defaults(func=cmd_evaluate)

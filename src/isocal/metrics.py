@@ -3,15 +3,15 @@ sharpness and median absolute error.
 
 Every function here is pure, takes forecasts as a `ForecastColumns` or a
 flat sequence of predictive distributions, and accepts an optional
-calibrator. Under per-cell scope a ``cell`` selects the maps: one
-(row, col) pair for every forecast, or a pair of per-forecast arrays of
-rows and columns (as `grid_points` returns them). The inverses of all
-maps turn the nominal levels into one table of raw levels, maps x
-levels, and each forecast reads its map's row of it; a pooled map, or
-no calibrator, is the one-row table every forecast shares. Coverage
-compares each outcome's P(X < y) with its raw level and forms no
-quantile. Reductions run in fixed input order so repeated runs are
-bit-identical.
+calibrator; no calibrator is the identity model. Under per-cell scope a
+``cell`` selects the maps: one (row, col) pair for every forecast, or a
+pair of per-forecast arrays of rows and columns (as `grid_points` returns
+them). `CalibratedForecaster.raw_levels` turns the nominal levels into
+one table of raw levels, maps read x levels, and each forecast reads its
+map's row of it; a pooled map is the one-row table every forecast
+shares. Coverage compares each outcome's P(X < y) with its raw level and
+forms no quantile. Reductions run in fixed input order so repeated runs
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .isotonic import inverse_maps
 from .predictive import ForecastColumns, PredictiveDist, columns_by_kind
 # perfbench/tracing.py counts calls made through these names of this module.
 from .predictive import quantile, variance  # noqa: F401
-from .recalibration import SATURATION_LEVEL_HI, SATURATION_LEVEL_LO, CalibratedForecaster
+from .recalibration import IDENTITY, CalibratedForecaster
 
 __all__ = [
     "ReliabilityCurve",
@@ -94,21 +93,6 @@ def interval_coverage(lows, highs, observations) -> float:
     return float(np.count_nonzero((obs >= lo) & (obs <= hi))) / obs.size
 
 
-def _raw_levels(calibrator, cell, levels: np.ndarray, n: int):
-    """Raw levels that the calibrated ``levels`` map back to, maps x levels
-    and clamped near 0 and 1; the row each of the ``n`` forecasts reads;
-    and which entries saturate (exactly 0 or 1)."""
-    if calibrator is None:
-        return levels[None, :], np.zeros(n, dtype=np.intp), np.zeros((1, levels.size), dtype=bool)
-    index = calibrator._map_index(cell)
-    if np.ndim(index) and np.shape(index) != (n,):
-        raise ValueError(f"{np.size(index)} cells for {n} forecasts")
-    raw = inverse_maps(calibrator.maps, levels)
-    saturated = (raw == 0.0) | (raw == 1.0)
-    raw = np.where(raw == 0.0, SATURATION_LEVEL_LO, raw)
-    return np.where(raw == 1.0, SATURATION_LEVEL_HI, raw), np.broadcast_to(index, (n,)), saturated
-
-
 def reliability_curve(
     forecasts: Sequence[PredictiveDist] | ForecastColumns,
     observations: Sequence[float],
@@ -135,7 +119,7 @@ def reliability_curve(
         raise ValueError("coverage of an empty set is undefined")
     if len(forecasts) != obs.size:
         raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
-    raw, index, _ = _raw_levels(calibrator, cell, levels_arr, obs.size)
+    raw, index, _, _ = (calibrator or IDENTITY).raw_levels(levels_arr, cell, obs.size)
     below = np.empty(obs.size)
     for rows, cols in columns_by_kind(forecasts):
         below[rows] = cols.cdf(obs[rows], strict=True)
@@ -169,30 +153,27 @@ def sharpness(
     calibrator: CalibratedForecaster | None = None,
     cell=None,
 ) -> float:
-    """Mean forecast variance, after recalibration when a map is given.
+    """Mean forecast variance, read through the calibrator (by default the identity map).
 
-    The recalibrated variance is taken over the quantiles at the 512
+    The variance is taken over the quantiles at the raw levels of the 512
     midpoint levels (i - 0.5)/512, making results reproducible bit for
     bit; for Gaussian forecasts it has the closed form s**2 Var(z) over
-    those levels. Exactly saturated levels are clamped near the boundary;
-    if more than 5% of the grid saturates, a map is too flat for a
-    meaningful spread, and an error names the first such map (its cell,
-    in row-major order) that some forecast reads.
+    those raw levels. If more than 5% of the grid saturates, a map is too
+    flat for a meaningful spread, and an error names the first such map
+    (its cell, in row-major order) that some forecast reads.
     """
     if len(forecasts) == 0:
         raise ValueError("sharpness of an empty forecast set is undefined")
-    raw, index, saturated = _raw_levels(calibrator, cell, _SHARPNESS_LEVELS, len(forecasts))
-    read = np.zeros(len(raw), dtype=bool)
-    read[index] = True
-    degenerate = np.flatnonzero(read & (np.mean(saturated, axis=1) > MAX_SATURATED_FRACTION))
+    calibrator = calibrator or IDENTITY
+    raw, index, saturated, read = calibrator.raw_levels(_SHARPNESS_LEVELS, cell, len(forecasts))
+    degenerate = read[np.mean(saturated, axis=1) > MAX_SATURATED_FRACTION]
     if degenerate.size:
         where = (" in cell ({}, {})".format(*divmod(int(degenerate[0]), calibrator.w))
                  if calibrator.scope == "per_cell" else "")
         raise ValueError(f"calibrator too degenerate for sharpness{where}")
     spread = np.empty(len(forecasts))
     for rows, cols in columns_by_kind(forecasts):
-        spread[rows] = (cols.variance() if calibrator is None
-                        else cols.level_variance(raw, index[rows]))
+        spread[rows] = cols.level_variance(raw, index[rows])
     return float(np.mean(spread))
 
 
@@ -206,7 +187,7 @@ def mae_mid_quantile(
     obs = np.asarray(observations, dtype=np.float64)
     if obs.size == 0 or len(forecasts) != obs.size:
         raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
-    raw, index, _ = _raw_levels(calibrator, cell, np.array([0.5]), obs.size)
+    raw, index, _, _ = (calibrator or IDENTITY).raw_levels([0.5], cell, obs.size)
     medians = np.empty(obs.size)
     for rows, cols in columns_by_kind(forecasts):
         medians[rows] = cols.quantiles(raw, index[rows])[:, 0]

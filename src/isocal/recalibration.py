@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gridio import ForecastSeries, GridSeries
-from .isotonic import IsotonicMap
+from .isotonic import IsotonicMap, inverse_maps
 # perfbench/tracing.py counts calls made through this name of this module.
 from .isotonic import fit_isotonic  # noqa: F401
 from .predictive import ForecastColumns, PredictiveDist, cdf, columns_by_kind, quantile
@@ -159,6 +159,26 @@ class CalibratedForecaster:
         """The map governing ``cell`` (ignored under pooled scope)."""
         return self.maps[self._map_index(cell)]
 
+    def raw_levels(self, levels, cell, n: int):
+        """Raw levels that the calibrated ``levels`` map back to, inverting
+        only the maps that the ``n`` forecasts in ``cell`` read, in map order:
+        that table (exact 0s and 1s clamped near the boundary), the row each
+        forecast reads, which entries saturated, and each row's map position.
+        """
+        index = self._map_index(cell)
+        if np.ndim(index) and np.shape(index) != (n,):
+            raise ValueError(f"{np.size(index)} cells for {n} forecasts")
+        read = np.bincount(np.ravel(index), minlength=len(self.maps)) > 0
+        positions = np.flatnonzero(read)
+        raw = inverse_maps([self.maps[i] for i in positions], levels)
+        saturated = (raw == 0.0) | (raw == 1.0)
+        raw = np.where(raw == 0.0, SATURATION_LEVEL_LO, np.where(raw == 1.0, SATURATION_LEVEL_HI, raw))
+        return raw, np.broadcast_to((np.cumsum(read) - 1)[index], (n,)), saturated, positions
+
+
+# No model: its inverse returns every level in (0, 1) bit for bit.
+IDENTITY = CalibratedForecaster("pooled", (IsotonicMap([0.0, 1.0], [0.0, 1.0]),))
+
 
 def grid_points(
     forecasts: ForecastSeries, observations: GridSeries
@@ -257,11 +277,8 @@ def calibrated_quantile(cf: CalibratedForecaster, d: PredictiveDist, p: float,
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile level out of range: {p}")
-    raw = cf.map_for(cell).inverse(p)
-    saturated = raw == 0.0 or raw == 1.0
-    if saturated:
-        raw = SATURATION_LEVEL_LO if raw == 0.0 else SATURATION_LEVEL_HI
-    return CalibratedQuantile(quantile(d, raw), saturated)
+    raw, _, saturated, _ = cf.raw_levels(p, cell, 1)
+    return CalibratedQuantile(quantile(d, float(raw[0, 0])), bool(saturated[0, 0]))
 
 
 def central_interval(cf: CalibratedForecaster, d: PredictiveDist, level: float,
@@ -280,6 +297,9 @@ def _fmt17(x: float) -> str:
 
 def model_to_json(cf: CalibratedForecaster) -> str:
     """Serialize to the model JSON document (17 significant digits)."""
+    modes = sorted({m.interpolation for m in cf.maps})
+    if len(modes) > 1:  # the file has one interpolation field
+        raise ValueError(f"cannot write a model whose maps mix {' and '.join(modes)} interpolation")
     rendered = []
     for m in cf.maps:
         bps = ", ".join(_fmt17(v) for v in m.breakpoints)
@@ -291,8 +311,9 @@ def model_to_json(cf: CalibratedForecaster) -> str:
 
 
 def save_model(cf: CalibratedForecaster, path) -> None:
+    text = model_to_json(cf)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(model_to_json(cf))
+        fh.write(text)
 
 
 def load_model(path) -> CalibratedForecaster:

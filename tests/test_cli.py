@@ -1,8 +1,10 @@
+import argparse
 import contextlib
 import io
 import json
 import tempfile
 import warnings
+from inspect import signature
 from pathlib import Path
 
 import numpy as np
@@ -10,8 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isocal.cli import main
-from isocal.recalibration import load_model
+import isocal.recalibration
+from isocal.cli import _build_parser, main
+from isocal.isotonic import INTERPOLATION_MODES, inverse_maps
+from isocal.metrics import CE_VARIANTS, calibration_error
+from isocal.recalibration import (
+    DEFAULT_MIN_POINTS_PER_CELL,
+    IDENTITY,
+    fit_calibrator,
+    load_model,
+    save_model,
+)
 from isocal.synth import true_recalibration_map
 
 import oracles
@@ -182,6 +193,17 @@ class TestEvaluateCommand:
         assert "CE (absolute)" in out
         assert "%" in out
 
+    @pytest.mark.parametrize("mode", ["gaussian_params", "sample_set"])
+    def test_identity_model_changes_nothing(self, tmp_path, mode):
+        fc, obs = synth_files(tmp_path, mode, grid="4x4x30", alpha="2", seed="2", mode=mode, k="20")
+        model, report = tmp_path / "identity.json", tmp_path / "report.json"
+        save_model(IDENTITY, model)
+        assert run("evaluate", "--forecasts", fc, "--observations", obs,
+                   "--model", model, "--out", report) == 0
+        report = json.loads(report.read_text())
+        assert report["deltas_pct"] == {"ce": 0.0, "mae": 0.0, "sharpness": 0.0}
+        assert report["calibrated"] == report["uncalibrated"]
+
     def test_grid_dim_mismatch_exits_3(self, alpha2_files, tmp_path):
         fc, obs = synth_files(tmp_path, "grid", grid="2x2x50", alpha="2", seed="5")
         model = tmp_path / "grid_model.json"
@@ -310,6 +332,22 @@ class TestReliabilityCommand:
         assert (tmp_path / "curve_cell0-0.csv").exists()
         assert (tmp_path / "curve_cell1-1.csv").exists()
 
+    def test_cell_inverts_only_its_own_map(self, tmp_path, monkeypatch):
+        fc, obs = synth_files(tmp_path, "inv", grid="3x3x40", alpha="2", seed="9")
+        model = tmp_path / "m.json"
+        assert run("calibrate", "--forecasts", fc, "--observations", obs,
+                   "--scope", "per-cell", "--min-points-per-cell", "10", "--out", model) == 0
+        inverted = []
+
+        def counting(maps, p):
+            inverted.append(len(maps))
+            return inverse_maps(maps, p)
+
+        monkeypatch.setattr(isocal.recalibration, "inverse_maps", counting)
+        assert run("reliability", "--forecasts", fc, "--observations", obs, "--model", model,
+                   "--cell", "0,0", "--cell", "2,1", "--out", tmp_path / "c.csv") == 0
+        assert inverted == [1, 1]
+
     def test_cell_output_may_not_clobber_input(self, tmp_path, capsys):
         fc, obs = tmp_path / "fc.csv", tmp_path / "curve_cell0-0.csv"
         assert run("synth", "--grid", "2x2x40", "--seed", "9",
@@ -410,6 +448,21 @@ class TestUsage:
 
     def test_help_exits_zero(self):
         assert run("--help") == 0
+
+    def test_choices_and_defaults_come_from_the_library(self):
+        subcommands = next(a for a in _build_parser()._actions
+                           if isinstance(a, argparse._SubParsersAction)).choices
+        options = {(sub, action.dest): action for sub, parser in subcommands.items()
+                   for action in parser._actions}
+        interpolation = options["calibrate", "interpolation"]
+        assert tuple(interpolation.choices) == INTERPOLATION_MODES
+        assert interpolation.default == signature(fit_calibrator).parameters["interpolation"].default
+        minimum = options["calibrate", "min_points_per_cell"]
+        assert minimum.default == DEFAULT_MIN_POINTS_PER_CELL
+        assert minimum.default == signature(fit_calibrator).parameters["min_points_per_cell"].default
+        variant = options["evaluate", "ce_variant"]
+        assert tuple(variant.choices) == CE_VARIANTS
+        assert variant.default == signature(calibration_error).parameters["variant"].default
 
 
 class TestPipelineDeterminism:

@@ -15,14 +15,13 @@ from isocal.gridio import ForecastSeries, GridSeries
 from isocal.isotonic import IsotonicMap, inverse_maps
 from isocal.metrics import (
     SHARPNESS_GRID,
-    _raw_levels,
     calibration_error,
     mae_mid_quantile,
     reliability_curve,
     sharpness,
 )
 from isocal.predictive import Empirical, ForecastColumns, Gaussian, cdf, quantile, variance
-from isocal.recalibration import CalibratedForecaster, fit_calibrator, grid_points
+from isocal.recalibration import IDENTITY, CalibratedForecaster, fit_calibrator, grid_points
 
 LEVELS = np.round(np.arange(1, 20) * 0.05, 10)
 SHARPNESS_LEVELS = (np.arange(SHARPNESS_GRID) + 0.5) / SHARPNESS_GRID
@@ -113,7 +112,8 @@ def test_sharpness_of_a_list_matches_the_per_forecast_loop():
     raw = cf.maps[0].inverse(SHARPNESS_LEVELS)
     loop = np.mean([np.var([quantile(d, r) for r in raw]) for d in forecasts])
     assert sharpness(forecasts, cf) == pytest.approx(loop, rel=1e-12)
-    assert sharpness(forecasts) == pytest.approx(np.mean([variance(d) for d in forecasts]), rel=1e-12)
+    identity = np.mean([np.var([quantile(d, r) for r in SHARPNESS_LEVELS]) for d in forecasts])
+    assert sharpness(forecasts) == pytest.approx(identity, rel=1e-12)
 
 
 @given(st.lists(st.tuples(st.lists(st.integers(0, 20), min_size=1, max_size=12),
@@ -319,7 +319,7 @@ def quantile_path(forecasts, obs, levels, cf, cell):
     """The reference: coverage as it was counted before it read PIT values,
     every forecast's n x levels quantiles at its map's raw levels against
     its outcome. Gives the verdicts and the quantiles, both n x levels."""
-    raw, index, _ = _raw_levels(cf, cell, levels, obs.size)
+    raw, index, _, _ = (cf or IDENTITY).raw_levels(levels, cell, obs.size)
     q = forecasts.quantiles(raw, index)
     return obs[:, None] <= q, q
 
@@ -370,7 +370,7 @@ def test_coverage_matches_the_quantile_path_up_to_rounding_ties():
         for forecasts, obs in differential_cases(seed):
             for cf, cell in differential_models(forecasts, obs, rng):
                 old, q = quantile_path(forecasts, obs, levels, cf, cell)
-                raw, index, _ = _raw_levels(cf, cell, levels, obs.size)
+                raw, index, _, _ = (cf or IDENTITY).raw_levels(levels, cell, obs.size)
                 new = forecasts.cdf(obs, strict=True)[:, None] <= raw[index]
                 curve = reliability_curve(forecasts, obs, levels, cf, cell)
                 assert np.array_equal(curve.empirical, np.count_nonzero(new, axis=0) / obs.size)

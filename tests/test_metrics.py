@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocal import metrics
 from isocal.isotonic import IsotonicMap
 from isocal.metrics import (
     ReliabilityCurve,
@@ -14,8 +15,8 @@ from isocal.metrics import (
     sharpness,
     write_reliability_csv,
 )
-from isocal.predictive import Empirical, Gaussian
-from isocal.recalibration import CalibratedForecaster, fit_calibrator
+from isocal.predictive import Empirical, ForecastColumns, Gaussian
+from isocal.recalibration import IDENTITY, CalibratedForecaster, fit_calibrator
 from isocal.synth import SynthConfig, generate
 
 import oracles
@@ -144,7 +145,9 @@ class TestCalibrationError:
 
 class TestSharpness:
     def test_mean_of_variances(self):
-        assert sharpness([Gaussian(0, 1.0), Gaussian(5, np.sqrt(3.0))]) == pytest.approx(2.0)
+        # No calibrator is the identity map: Var(z) over the 512-level grid.
+        value = sharpness([Gaussian(0, 1.0), Gaussian(5, np.sqrt(3.0))])
+        assert value == pytest.approx(2.0 * oracles.STD_NORMAL_VAR_512_GRID, rel=1e-12)
 
     def test_identity_calibrator_matches_grid_variance(self):
         value = sharpness([Gaussian(0.0, 1.0)], identity_calibrator())
@@ -174,6 +177,39 @@ class TestSharpness:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             sharpness([])
+
+
+@pytest.mark.parametrize("as_list", [False, True], ids=["columns", "list"])
+@pytest.mark.parametrize("k", [0, 1, 2, 5, 20], ids=lambda k: f"k{k}" if k else "gaussian")
+def test_no_model_is_the_identity_model(k, as_list):
+    """Without a model every metric reads the identity map's raw levels,
+    bit for bit, pooled or through a per-cell model of identity maps."""
+    rng = np.random.default_rng(k)
+    n = 300
+    centre = rng.uniform(-4, 4, size=n)
+    obs = centre + rng.normal(size=n)
+    if k:
+        forecasts = ForecastColumns(samples=centre[:, None] + 2.0 * rng.normal(size=(n, k)))
+        as_dists = [Empirical(row) for row in forecasts.samples]
+    else:
+        forecasts = ForecastColumns(means=centre, stds=rng.uniform(0.5, 3.0, size=n))
+        as_dists = [Gaussian(m, s) for m, s in zip(forecasts.means, forecasts.stds)]
+    if as_list:
+        forecasts = as_dists
+    cell = (rng.integers(0, 2, size=n), rng.integers(0, 3, size=n))
+    per_cell = CalibratedForecaster("per_cell", IDENTITY.maps * 6, h=2, w=3)
+    scores = [(reliability_curve(forecasts, obs, LEVELS_19, cf, where).empirical,
+               mae_mid_quantile(forecasts, obs, cf, where), sharpness(forecasts, cf, where))
+              for cf, where in ((None, None), (IDENTITY, None), (per_cell, cell))]
+    for curve, mae, spread in scores[1:]:
+        assert np.array_equal(curve, scores[0][0])
+        assert mae == scores[0][1]
+        assert spread == scores[0][2]
+
+
+def test_metrics_leave_inversion_to_the_model():
+    for name in ("inverse_maps", "SATURATION_LEVEL_LO", "SATURATION_LEVEL_HI"):
+        assert not hasattr(metrics, name), name
 
 
 class TestMaeMidQuantile:

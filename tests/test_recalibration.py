@@ -10,8 +10,9 @@ import isocal.isotonic
 import isocal.recalibration
 from isocal.isotonic import IsotonicMap, fit_isotonic
 from isocal.metrics import calibration_error, reliability_curve
-from isocal.predictive import Empirical, Gaussian, cdf
+from isocal.predictive import Empirical, Gaussian, cdf, quantile
 from isocal.recalibration import (
+    IDENTITY,
     CalibratedForecaster,
     build_calibration_dataset,
     calibrated_cdf,
@@ -242,6 +243,9 @@ class TestCalibratedQueries:
         q = calibrated_quantile(identity_calibrator(), Gaussian(10, 2), 0.5)
         assert q.value == pytest.approx(10.0, abs=1e-9)
         assert not q.saturated
+        for d in (Gaussian(1.0, 2.0), Empirical(np.array([-1.0, 0.5, 2.0, 4.0]))):
+            for p in (1e-9, 0.05, 0.5, 0.7, 1 - 1e-9):  # the raw quantile, bit for bit
+                assert calibrated_quantile(IDENTITY, d, p) == (quantile(d, p), False)
 
     def test_overdispersed_quantile_shrinks(self):
         forecasts, obs = generate(SynthConfig(n=20000, alpha=2.0, seed=42))
@@ -345,6 +349,16 @@ class TestModelFile:
         cf = CalibratedForecaster("pooled", (IsotonicMap([0.1, 0.9], [0.1, 0.9]),))
         text = model_to_json(cf)
         assert "0.10000000000000001" in text  # 17 significant digits of 0.1
+
+    def test_refuses_maps_of_mixed_interpolation(self, tmp_path):
+        """The file's one ``interpolation`` field would reload every map as
+        the first map's mode: [linear, step] came back [linear, linear]."""
+        maps = (IsotonicMap([0.2, 0.8], [0.2, 0.8]), IsotonicMap([0.2, 0.8], [0.2, 0.8], "step"))
+        cf = CalibratedForecaster("per_cell", maps, h=1, w=2)
+        path = tmp_path / "model.json"
+        with pytest.raises(ValueError, match="mix linear and step interpolation"):
+            save_model(cf, path)
+        assert not path.exists()
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"
