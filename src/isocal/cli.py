@@ -80,7 +80,7 @@ def _parse_levels(spec: str) -> np.ndarray:
     if len(levels) > MAX_LEVELS:
         raise argparse.ArgumentTypeError(f"more than {MAX_LEVELS} levels: {spec!r}")
     arr = np.asarray(levels, dtype=np.float64)
-    if arr.size == 0 or np.any(arr <= 0.0) or np.any(arr >= 1.0) or np.any(np.diff(arr) <= 0.0):
+    if arr.size == 0 or not np.all((arr > 0.0) & (arr < 1.0)) or np.any(np.diff(arr) <= 0.0):
         raise argparse.ArgumentTypeError(
             f"levels must be strictly increasing inside (0, 1): {spec!r}")
     return arr
@@ -187,7 +187,7 @@ def cmd_calibrate(args) -> int:
     print(f"scope: {scope}")
     print(f"grid: {gs.h}x{gs.w}, {len(gs.times)} time steps")
     print(f"calibration points: {total}")
-    print(f"cells with missing observations excluded from fitting: {incomplete}")
+    print(f"cells with missing observations: {incomplete}")
     print(f"model: {args.out}")
     return EXIT_OK
 
@@ -281,25 +281,22 @@ def _build_parser() -> _Parser:
     cal.add_argument("--out", required=True, help="model JSON path")
     cal.set_defaults(func=cmd_calibrate)
 
-    ev = sub.add_parser("evaluate", help="metrics report, optionally with a fitted model")
-    ev.add_argument("--forecasts", required=True)
-    ev.add_argument("--observations", required=True)
-    ev.add_argument("--model")
-    ev.add_argument("--levels", type=_parse_levels, default=_parse_levels(DEFAULT_LEVELS),
-                    help=f"START:STOP:STEP or a comma list, at most {MAX_LEVELS} levels "
-                         f"(default {DEFAULT_LEVELS})")
+    scoring = _Parser(add_help=False)  # the inputs evaluate and reliability share
+    scoring.add_argument("--forecasts", required=True)
+    scoring.add_argument("--observations", required=True)
+    scoring.add_argument("--model")
+    scoring.add_argument("--levels", type=_parse_levels, default=_parse_levels(DEFAULT_LEVELS),
+                         help=f"START:STOP:STEP or a comma list, at most {MAX_LEVELS} levels "
+                              f"(default {DEFAULT_LEVELS})")
+
+    ev = sub.add_parser("evaluate", parents=[scoring],
+                        help="metrics report, optionally with a fitted model")
     ev.add_argument("--ce-variant", choices=CE_VARIANTS, default="absolute")
     ev.add_argument("--human", action="store_true", help="text table instead of JSON on stdout")
     ev.add_argument("--out", help="write the JSON report here")
     ev.set_defaults(func=cmd_evaluate)
 
-    rel = sub.add_parser("reliability", help="emit reliability curve CSV")
-    rel.add_argument("--forecasts", required=True)
-    rel.add_argument("--observations", required=True)
-    rel.add_argument("--model")
-    rel.add_argument("--levels", type=_parse_levels, default=_parse_levels(DEFAULT_LEVELS),
-                    help=f"START:STOP:STEP or a comma list, at most {MAX_LEVELS} levels "
-                         f"(default {DEFAULT_LEVELS})")
+    rel = sub.add_parser("reliability", parents=[scoring], help="emit reliability curve CSV")
     rel.add_argument("--cell", type=_parse_cell, action="append",
                      help="ROW,COL; repeatable, one output file per cell")
     rel.add_argument("--out", required=True, help="curve CSV path")

@@ -60,7 +60,7 @@ class ReliabilityCurve:
             raise ValueError("levels must be a nonempty 1-d sequence")
         if empirical.shape != levels.shape or weights.shape != levels.shape:
             raise ValueError("levels, empirical and weights must have equal length")
-        if np.any(levels < 0.0) or np.any(levels > 1.0):
+        if not np.all((levels >= 0.0) & (levels <= 1.0)):
             raise ValueError("levels must lie in [0, 1]")
         if levels.size > 1 and np.any(np.diff(levels) <= 0.0):
             raise ValueError("levels must be strictly increasing")
@@ -110,7 +110,7 @@ def reliability_curve(
     levels_arr = np.asarray(levels, dtype=np.float64)
     if levels_arr.ndim != 1 or levels_arr.size == 0:
         raise ValueError("levels must be a nonempty 1-d sequence")
-    if np.any(levels_arr <= 0.0) or np.any(levels_arr >= 1.0):
+    if not np.all((levels_arr > 0.0) & (levels_arr < 1.0)):
         raise ValueError("levels must lie strictly inside (0, 1)")
     if levels_arr.size > 1 and np.any(np.diff(levels_arr) <= 0.0):
         raise ValueError("levels must be strictly increasing")

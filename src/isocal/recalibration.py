@@ -17,14 +17,15 @@ cell, and serializes to a single-object JSON model file::
      "maps": [{"breakpoints": [...], "values": [...]}, ...]}
 
 with per-cell maps in row-major order (pooled models carry exactly one
-map and h = w = 0). Floats are written with 17 significant digits, which
-round-trips doubles exactly.
+map and h = w = 0). The json module writes each knot in Python's shortest
+spelling that reads back as the same double (its ``repr``), so a model
+reloads bit for bit; files that spell knots with 17 significant digits
+load to the same maps.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -51,8 +52,6 @@ __all__ = [
     "load_model",
     "model_to_json",
 ]
-
-logger = logging.getLogger(__name__)
 
 MODEL_VERSION = 1
 DEFAULT_MIN_POINTS_PER_CELL = 30
@@ -234,12 +233,8 @@ def fit_calibrator(
     obs = observations
     if gridded:
         forecasts, obs, (rows, cols) = grid_points(forecasts, observations)
-        counts = observations.mask.sum(axis=0).ravel()  # valid time steps per cell, row-major
-        n_incomplete = np.count_nonzero(counts < len(observations.times))
-        if n_incomplete:
-            logger.info("%d of %d cells have missing observations excluded from fitting",
-                        n_incomplete, counts.size)
         if scope == "per_cell":
+            counts = observations.mask.sum(axis=0).ravel()  # valid time steps per cell, row-major
             need = max(min_points_per_cell, 2)
             short = np.flatnonzero(counts < need)
             if short.size:
@@ -291,29 +286,27 @@ def central_interval(cf: CalibratedForecaster, d: PredictiveDist, level: float,
     return lo.value, hi.value
 
 
-def _fmt17(x: float) -> str:
-    return format(float(x), ".17g")
-
-
-def model_to_json(cf: CalibratedForecaster) -> str:
-    """Serialize to the model JSON document (17 significant digits)."""
+def _model_doc(cf: CalibratedForecaster) -> dict:
+    """The model JSON document, as the dict the json module writes."""
     modes = sorted({m.interpolation for m in cf.maps})
     if len(modes) > 1:  # the file has one interpolation field
         raise ValueError(f"cannot write a model whose maps mix {' and '.join(modes)} interpolation")
-    rendered = []
-    for m in cf.maps:
-        bps = ", ".join(_fmt17(v) for v in m.breakpoints)
-        vals = ", ".join(_fmt17(v) for v in m.values)
-        rendered.append(f'{{"breakpoints": [{bps}], "values": [{vals}]}}')
-    maps_doc = ", ".join(rendered)
-    return (f'{{"version": {MODEL_VERSION}, "scope": "{cf.scope}", "h": {cf.h}, "w": {cf.w}, '
-            f'"interpolation": "{cf.interpolation}", "maps": [{maps_doc}]}}\n')
+    return {"version": MODEL_VERSION, "scope": cf.scope, "h": int(cf.h), "w": int(cf.w),
+            "interpolation": cf.interpolation,
+            "maps": [{"breakpoints": m.breakpoints.tolist(), "values": m.values.tolist()}
+                     for m in cf.maps]}
+
+
+def model_to_json(cf: CalibratedForecaster) -> str:
+    """Serialize to the model JSON document."""
+    return json.dumps(_model_doc(cf), allow_nan=False) + "\n"
 
 
 def save_model(cf: CalibratedForecaster, path) -> None:
-    text = model_to_json(cf)
+    doc = _model_doc(cf)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        json.dump(doc, fh, allow_nan=False)  # streamed: no file-sized string
+        fh.write("\n")
 
 
 def load_model(path) -> CalibratedForecaster:
@@ -340,9 +333,11 @@ def load_model(path) -> CalibratedForecaster:
         if not (isinstance(m, dict) and isinstance(m.get("breakpoints"), list)
                 and isinstance(m.get("values"), list)):
             raise ValueError(f"model map {i} needs 'breakpoints' and 'values' lists")
-        try:
+        try:  # JSON numbers only: not strings or booleans, and no int beyond a double's range
+            if not set(map(type, m["breakpoints"] + m["values"])) <= {int, float}:
+                raise TypeError
             knots = [np.asarray(m[key], dtype=np.float64) for key in ("breakpoints", "values")]
-        except (TypeError, ValueError):
+        except (TypeError, OverflowError):
             raise ValueError(f"model map {i} has a knot that is not a number") from None
         maps.append(IsotonicMap(*knots, doc["interpolation"]))
     return CalibratedForecaster(doc["scope"], tuple(maps), h=doc["h"], w=doc["w"])

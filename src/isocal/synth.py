@@ -179,7 +179,7 @@ def true_recalibration_map(alpha: float, p):
     if not (math.isfinite(alpha) and alpha > 0.0):
         raise ValueError(f"alpha must be positive: {alpha}")
     p_arr = np.asarray(p, dtype=np.float64)
-    if np.any(p_arr <= 0.0) or np.any(p_arr >= 1.0):
+    if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
         raise ValueError(f"quantile level out of range: {p!r}")
     out = std_normal_cdf(alpha * std_normal_quantile(p_arr))
     return float(out) if p_arr.ndim == 0 else out

@@ -158,7 +158,7 @@ class TestCalibrateCommand:
             f"scope: {scope.replace('-', '_')}\n"
             "grid: 2x3, 40 time steps\n"
             "calibration points: 236\n"
-            "cells with missing observations excluded from fitting: 2\n"
+            "cells with missing observations: 2\n"
             f"model: {model}\n")
         cf = load_model(model)
         assert sum(m.breakpoints.size for m in cf.maps) == 236  # one knot per fitted point
@@ -240,6 +240,12 @@ class TestEvaluateCommand:
                    "--observations", alpha2_files / "test_obs.csv",
                    "--levels", "0:1:0.5") == 1
 
+    @pytest.mark.parametrize("levels", ["nan", "0.5,nan"])
+    def test_nan_level_is_usage_error(self, alpha2_files, capsys, levels):
+        assert run("evaluate", "--forecasts", alpha2_files / "test_fc.csv",
+                   "--observations", alpha2_files / "test_obs.csv", "--levels", levels) == 1
+        assert "levels must be strictly increasing inside (0, 1)" in capsys.readouterr().err
+
     def test_level_count_is_capped(self, alpha2_files, capsys):
         assert run("evaluate", "--forecasts", alpha2_files / "test_fc.csv",
                    "--observations", alpha2_files / "test_obs.csv",
@@ -298,6 +304,15 @@ class TestModelFileValidation:
         text = json.dumps(self.pooled()).replace('"values": [0.0, 0.5', '"values": [0.0, NaN')
         code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, text)
         assert code == 3 and "non-finite knot" in err
+
+    @pytest.mark.parametrize("knots", [
+        {"breakpoints": ["0", "1e0"], "values": [0.0, 1.0]},  # strings
+        {"breakpoints": [0.0, 1.0], "values": [False, True]},  # booleans
+        {"breakpoints": [0, 10 ** 400], "values": [0.0, 1.0]},  # beyond a double's range
+    ], ids=["string", "bool", "huge-int"])
+    def test_knot_that_is_not_a_json_number(self, alpha2_files, tmp_path, capsys, knots):
+        code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, self.pooled(maps=[knots]))
+        assert code == 3 and "model map 0 has a knot that is not a number" in err
 
 
 class TestReliabilityCommand:

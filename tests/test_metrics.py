@@ -83,6 +83,10 @@ class TestReliabilityCurve:
         with pytest.raises(ValueError):
             reliability_curve([Gaussian(0, 1)], [0.0], [0.0, 0.5])
 
+    def test_rejects_nan_level_before_inverting(self):
+        with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+            reliability_curve([Gaussian(0, 1)], [0.0], [0.5, np.nan])
+
     def test_in_sample_fit_tracks_grid_levels(self):
         n = 2000
         forecasts, obs = generate(SynthConfig(n=n, alpha=2.0, seed=13))
@@ -238,6 +242,10 @@ class TestCurveValidationAndExport:
     def test_levels_must_increase(self):
         with pytest.raises(ValueError):
             ReliabilityCurve([0.5, 0.5], [0.1, 0.2], [1.0, 1.0])
+
+    def test_nan_level_rejected(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            ReliabilityCurve([0.5, np.nan], [0.1, 0.2], [1.0, 1.0])
 
     def test_negative_weights_rejected(self):
         with pytest.raises(ValueError):

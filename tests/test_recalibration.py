@@ -1,4 +1,6 @@
+import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -345,10 +347,56 @@ class TestModelFile:
                        "interpolation": "linear",
                        "maps": [{"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]}]}
 
-    def test_floats_carry_full_precision(self):
-        cf = CalibratedForecaster("pooled", (IsotonicMap([0.1, 0.9], [0.1, 0.9]),))
-        text = model_to_json(cf)
-        assert "0.10000000000000001" in text  # 17 significant digits of 0.1
+    @staticmethod
+    def edge_model(scope, interpolation="linear"):
+        """Knots at 0 and 1, the smallest subnormal and normal doubles, the
+        double just below 1, and 0.1 and 1/3, whose 17-digit and shortest
+        spellings differ."""
+        knots = [0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, np.nextafter(1.0, 0.0), 1.0]
+        maps = (IsotonicMap(knots, knots, interpolation),
+                IsotonicMap(knots[1:], knots[:-1], interpolation))
+        if scope == "pooled":
+            return CalibratedForecaster(scope, maps[:1])
+        return CalibratedForecaster(scope, maps, h=1, w=2)
+
+    def test_floats_carry_full_precision(self, tmp_path):
+        path = tmp_path / "model.json"
+        for scope, interpolation in itertools.product(("pooled", "per_cell"), ("linear", "step")):
+            cf = self.edge_model(scope, interpolation)
+            save_model(cf, path)
+            loaded = load_model(path)
+            assert (loaded.scope, loaded.interpolation) == (scope, interpolation)
+            for a, b in zip(loaded.maps, cf.maps, strict=True):
+                assert a.breakpoints.tobytes() == b.breakpoints.tobytes()
+                assert a.values.tobytes() == b.values.tobytes()
+
+    def test_seventeen_digit_file_loads_to_the_same_maps(self, tmp_path):
+        """Files that spell every knot with 17 significant digits, as
+        earlier releases wrote them, reload to the same doubles."""
+        cf = self.edge_model("per_cell")
+        new = tmp_path / "new.json"
+        save_model(cf, new)
+
+        def knots(xs):
+            return "[" + ", ".join(format(x, ".17g") for x in xs) + "]"
+        maps = ", ".join(f'{{"breakpoints": {knots(m.breakpoints)}, "values": {knots(m.values)}}}'
+                         for m in cf.maps)
+        head = '{"version": 1, "scope": "per_cell", "h": 1, "w": 2, "interpolation": "linear", "maps": '
+        old = tmp_path / "old.json"
+        old.write_text(f"{head}[{maps}]}}\n")
+        respelled = re.sub(r"\d[\d.e+-]*", lambda t: repr(float(t.group())), maps)
+        assert new.read_text() == f"{head}[{respelled}]}}\n"  # only the knot spelling differs
+        for a, b in zip(load_model(old).maps, load_model(new).maps, strict=True):
+            assert a.breakpoints.tobytes() == b.breakpoints.tobytes()
+            assert a.values.tobytes() == b.values.tobytes()
+
+    def test_file_is_the_json_modules_output(self, tmp_path):
+        forecasts, obs = generate(SynthConfig(n=200, alpha=2.0, seed=1))
+        cf = fit_calibrator(forecasts, obs)
+        path = tmp_path / "model.json"
+        save_model(cf, path)
+        text = path.read_bytes().decode("utf-8")
+        assert text == model_to_json(cf) == json.dumps(json.loads(text)) + "\n"
 
     def test_refuses_maps_of_mixed_interpolation(self, tmp_path):
         """The file's one ``interpolation`` field would reload every map as

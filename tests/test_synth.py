@@ -130,6 +130,10 @@ class TestTrueRecalibrationMap:
         with pytest.raises(ValueError):
             true_recalibration_map(0.0, 0.5)
 
+    def test_rejects_nan_level(self):
+        with pytest.raises(ValueError, match="out of range"):
+            true_recalibration_map(2.0, float("nan"))
+
 
 class TestConfigValidation:
     def test_rejects_bad_values(self):
