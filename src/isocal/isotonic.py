@@ -9,6 +9,8 @@ values at the distinct x positions and can be queried as a step function
 (right-continuous, the classic form) or with linear interpolation between
 knots (the default, which yields a continuous recalibration map). The
 generalized inverse resolves flat stretches to their left endpoint.
+Many maps share one knot table (`check_knots`), which `inverse_maps`
+searches as it is; an `IsotonicMap` is the table of one map.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IsotonicMap", "fit_isotonic", "inverse_maps"]
+__all__ = ["IsotonicMap", "check_knots", "fit_isotonic", "inverse_maps"]
 
 INTERPOLATION_MODES = ("linear", "step")
 
@@ -25,9 +27,40 @@ INTERPOLATION_MODES = ("linear", "step")
 _BLOCK = 1 << 14
 
 
+def check_knots(breakpoints, values, starts, interpolation: str, name_maps: bool = True):
+    """Validate a knot table: every map's knots concatenated, map-major,
+    map i's from index ``starts[i]`` on. Each map needs a knot, strictly
+    increasing breakpoints and nondecreasing values, all finite and in
+    [0, 1]; order is tested within each map only. A knot error names the
+    first bad map (``model map i: ...``) if ``name_maps``. Returns the
+    three arrays as read-only copies."""
+    bp, vals, starts = (np.array(breakpoints, dtype=np.float64), np.array(values, dtype=np.float64),
+                        np.array(starts))
+    if bp.ndim != 1 or bp.size == 0 or bp.shape != vals.shape:
+        raise ValueError("breakpoints and values must be nonempty 1-d arrays of equal length")
+    if (starts.ndim != 1 or starts.dtype.kind not in "iu" or starts[:1].tolist() != [0]
+            or np.any(np.diff(np.r_[starts, bp.size]) < 1)):
+        raise ValueError("knot table starts must rise from 0, each map holding at least one knot")
+    if interpolation not in INTERPOLATION_MODES:
+        raise ValueError(f"unknown interpolation mode: {interpolation!r}")
+    inner = ~np.isin(np.arange(1, bp.size), starts)  # differences within one map
+    # In this order, so that no difference is taken of a non-finite or huge knot.
+    for rule, bad in (
+        ("non-finite knot in calibration map", lambda: ~(np.isfinite(bp) & np.isfinite(vals))),
+        ("calibration point out of unit square", lambda: (bp < 0) | (bp > 1) | (vals < 0) | (vals > 1)),
+        ("breakpoints must be strictly increasing", lambda: inner & (np.diff(bp) <= 0.0)),
+        ("values must be nondecreasing", lambda: inner & (np.diff(vals) < 0.0)),
+    ):
+        if (flags := bad()).any():  # per knot, or per difference to the next knot
+            i = np.searchsorted(starts, np.argmax(flags), side="right") - 1
+            raise ValueError(f"model map {i}: {rule}" if name_maps else rule)
+    bp.flags.writeable = vals.flags.writeable = starts.flags.writeable = False
+    return bp, vals, starts
+
+
 @dataclass(frozen=True, eq=False)
 class IsotonicMap:
-    """A fitted nondecreasing map [0, 1] -> [0, 1].
+    """A fitted nondecreasing map [0, 1] -> [0, 1]: a knot table of one map.
 
     ``breakpoints`` are strictly increasing knot positions; ``values`` are
     the fitted levels at those knots, nondecreasing and inside [0, 1].
@@ -37,26 +70,11 @@ class IsotonicMap:
     breakpoints: np.ndarray
     values: np.ndarray
     interpolation: str = "linear"
+    starts = (0,)  # a table of one map
 
     def __post_init__(self):
-        bp = np.asarray(self.breakpoints, dtype=np.float64)
-        vals = np.asarray(self.values, dtype=np.float64)
-        if bp.ndim != 1 or bp.size == 0 or bp.shape != vals.shape:
-            raise ValueError("breakpoints and values must be nonempty 1-d arrays of equal length")
-        if not (np.all(np.isfinite(bp)) and np.all(np.isfinite(vals))):
-            raise ValueError("non-finite knot in calibration map")
-        if np.any(bp < 0.0) or np.any(bp > 1.0) or np.any(vals < 0.0) or np.any(vals > 1.0):
-            raise ValueError("calibration point out of unit square")
-        if bp.size > 1 and np.any(np.diff(bp) <= 0.0):
-            raise ValueError("breakpoints must be strictly increasing")
-        if vals.size > 1 and np.any(np.diff(vals) < 0.0):
-            raise ValueError("values must be nondecreasing")
-        if self.interpolation not in INTERPOLATION_MODES:
-            raise ValueError(f"unknown interpolation mode: {self.interpolation!r}")
-        bp = bp.copy()
-        vals = vals.copy()
-        bp.flags.writeable = False
-        vals.flags.writeable = False
+        bp, vals, _ = check_knots(self.breakpoints, self.values, self.starts, self.interpolation,
+                                  name_maps=False)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
@@ -83,15 +101,17 @@ class IsotonicMap:
         Returns 1.0 when ``p`` exceeds the map's maximum. Flat stretches
         resolve to their left endpoint. Scalar or array.
         """
-        out = inverse_maps((self,), p)[0]
+        out = inverse_maps(self, [0], p)[0]
         return float(out[0]) if np.ndim(p) == 0 else out
 
 
-def inverse_maps(maps, p) -> np.ndarray:
-    """`IsotonicMap.inverse` of every map at every level: len(maps) x len(p).
+def inverse_maps(table, rows, p) -> np.ndarray:
+    """`IsotonicMap.inverse` of the maps ``rows`` of a knot table at every
+    level: len(rows) x len(p).
 
-    All knots are concatenated once and searched together. A knot is keyed
-    by the complex number (map index) + 1j * value, which numpy orders
+    ``table`` has the fields `check_knots` validates, as an `IsotonicMap`
+    and a `CalibratedForecaster` do. A knot is keyed by the complex
+    number (map index) + 1j * value, which numpy orders
     lexicographically, so each level is located within its own map only.
     Maps are searched in blocks of at most `_BLOCK` map-level pairs, which
     bounds the temporaries.
@@ -100,31 +120,29 @@ def inverse_maps(maps, p) -> np.ndarray:
     if np.any(p_in < 0.0) or np.any(p_in > 1.0) or not np.all(np.isfinite(p_in)):
         raise ValueError(f"inversion level outside [0, 1]: {p!r}")
     p_arr = np.atleast_1d(p_in)
-    sizes = np.array([m.values.size for m in maps])
-    starts = np.cumsum(sizes) - sizes
-    vals = np.concatenate([m.values for m in maps])
-    bp = np.concatenate([m.breakpoints for m in maps])
-    keys = np.repeat(np.arange(len(maps)), sizes) + 1j * vals
-    step = np.array([m.interpolation == "step" for m in maps])
-    out = np.empty((len(maps), p_arr.size))
+    vals, bp, starts = table.values, table.breakpoints, np.asarray(table.starts)
+    ends = np.r_[starts[1:], vals.size]
+    keys = np.repeat(np.arange(starts.size), ends - starts) + 1j * vals
+    rows = np.asarray(rows, dtype=np.intp)
+    out = np.empty((rows.size, p_arr.size))
     per_block = max(1, _BLOCK // p_arr.size)
-    for first in range(0, len(maps), per_block):
-        ids = np.arange(first, min(first + per_block, len(maps)))
+    for first in range(0, rows.size, per_block):
+        ids = rows[first:first + per_block]
         g = np.searchsorted(keys, ids[:, None] + 1j * p_arr[None, :], side="left")
         j = g - starts[ids, None]
         block = np.where(j == 0, 0.0, 1.0)
-        rows, cols = np.nonzero((j > 0) & (j < sizes[ids, None]))
-        gi = g[rows, cols]
+        r, c = np.nonzero((j > 0) & (g < ends[ids, None]))
+        gi = g[r, c]
         v_lo, b_lo, b_hi = vals[gi - 1], bp[gi - 1], bp[gi]
-        frac = (p_arr[cols] - v_lo) / (vals[gi] - v_lo)
+        frac = (p_arr[c] - v_lo) / (vals[gi] - v_lo)
         linear = b_lo + frac * (b_hi - b_lo)
         # Rounding can leave the point short of the level's fraction of the
         # segment, where the map is still under the level (on a segment a
         # few ulps wide, far under it): step once toward the right knot.
         short = (linear - b_lo) / (b_hi - b_lo) < frac
         linear[short] = np.nextafter(linear[short], b_hi[short])
-        block[rows, cols] = np.where(step[ids][rows], b_hi, linear)
-        out[ids] = block
+        block[r, c] = b_hi if table.interpolation == "step" else linear
+        out[first:first + ids.size] = block
     return out
 
 

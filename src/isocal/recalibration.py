@@ -10,7 +10,10 @@ probabilities; composing its generalized inverse with the raw quantile
 function yields calibrated quantiles and central intervals.
 
 A fitted `CalibratedForecaster` holds one pooled map or one map per grid
-cell, and serializes to a single-object JSON model file::
+cell as one knot table (every map's knots concatenated, the index where
+each map's knots begin, one interpolation mode), filled by the fit's one
+sort or the file's one array per field. It serializes to a single-object
+JSON model file::
 
     {"version": 1, "scope": "pooled" | "per_cell", "h": int, "w": int,
      "interpolation": "linear" | "step",
@@ -27,12 +30,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .gridio import ForecastSeries, GridSeries
-from .isotonic import IsotonicMap, inverse_maps
+from .isotonic import IsotonicMap, check_knots, inverse_maps
 # perfbench/tracing.py counts calls made through this name of this module.
 from .isotonic import fit_isotonic  # noqa: F401
 from .predictive import ForecastColumns, PredictiveDist, cdf, columns_by_kind, quantile
@@ -112,37 +116,46 @@ def build_calibration_dataset(
     return [CalibrationPair(float(ci), float(yi)) for ci, yi in zip(c, y)]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CalibratedForecaster:
-    """A fitted recalibration map, pooled or one per grid cell."""
+    """A fitted recalibration map, pooled or one per grid cell (row-major),
+    held as one knot table: the fields `check_knots` validates, once."""
 
     scope: str  # 'pooled' | 'per_cell'
-    maps: tuple[IsotonicMap, ...]
+    breakpoints: np.ndarray
+    values: np.ndarray
+    starts: np.ndarray
+    interpolation: str = "linear"
     h: int = 0
     w: int = 0
 
     def __post_init__(self):
         if self.scope not in ("pooled", "per_cell"):
             raise ValueError(f"unknown scope: {self.scope!r}")
-        if self.scope == "pooled":
-            if len(self.maps) != 1:
-                raise ValueError("pooled scope carries exactly one map")
-            if self.h != 0 or self.w != 0:
-                raise ValueError(f"pooled scope carries h = w = 0, got {self.h}x{self.w}")
-        else:
-            if self.h < 1 or self.w < 1:
-                raise ValueError("per_cell scope needs positive grid dims")
-            if len(self.maps) != self.h * self.w:
-                raise ValueError(f"per_cell scope needs {self.h * self.w} maps, got {len(self.maps)}")
+        if self.scope == "pooled" and (self.h != 0 or self.w != 0):
+            raise ValueError(f"pooled scope carries h = w = 0, got {self.h}x{self.w}")
+        if self.scope == "per_cell" and (self.h < 1 or self.w < 1):
+            raise ValueError("per_cell scope needs positive grid dims")
+        table = check_knots(self.breakpoints, self.values, self.starts, self.interpolation)
+        for name, arr in zip(("breakpoints", "values", "starts"), table):
+            object.__setattr__(self, name, arr)
+        n = max(self.h * self.w, 1)  # a pooled model has h = w = 0
+        if self.starts.size != n:
+            raise ValueError(f"{self.scope} scope needs {n} map(s), got {self.starts.size}")
 
     @property
-    def interpolation(self) -> str:
-        return self.maps[0].interpolation
+    def maps(self) -> tuple[IsotonicMap, ...]:
+        """Every map as an `IsotonicMap`, built on demand for the scalar API."""
+        return tuple(map(self._map, range(self.starts.size)))
+
+    def _map(self, i: int) -> IsotonicMap:
+        knots = slice(self.starts[i], self.starts[i + 1] if i + 1 < self.starts.size else None)
+        return IsotonicMap(self.breakpoints[knots], self.values[knots], self.interpolation)
 
     def _map_index(self, cell):
-        """Position in `maps` of the map governing ``cell``: one (row, col)
-        pair, or per-forecast arrays of rows and columns, which give one
-        position per forecast. Pooled scope gives 0 for any cell."""
+        """Position of the map governing ``cell``: one (row, col) pair, or
+        per-forecast arrays of rows and columns, which give one position
+        per forecast. Pooled scope gives 0 for any cell."""
         if self.scope == "pooled":
             return 0
         if cell is None:
@@ -156,7 +169,7 @@ class CalibratedForecaster:
 
     def map_for(self, cell: tuple[int, int] | None) -> IsotonicMap:
         """The map governing ``cell`` (ignored under pooled scope)."""
-        return self.maps[self._map_index(cell)]
+        return self._map(int(self._map_index(cell)))
 
     def raw_levels(self, levels, cell, n: int):
         """Raw levels that the calibrated ``levels`` map back to, inverting
@@ -167,16 +180,16 @@ class CalibratedForecaster:
         index = self._map_index(cell)
         if np.ndim(index) and np.shape(index) != (n,):
             raise ValueError(f"{np.size(index)} cells for {n} forecasts")
-        read = np.bincount(np.ravel(index), minlength=len(self.maps)) > 0
+        read = np.bincount(np.ravel(index), minlength=self.starts.size) > 0
         positions = np.flatnonzero(read)
-        raw = inverse_maps([self.maps[i] for i in positions], levels)
+        raw = inverse_maps(self, positions, levels)
         saturated = (raw == 0.0) | (raw == 1.0)
         raw = np.where(raw == 0.0, SATURATION_LEVEL_LO, np.where(raw == 1.0, SATURATION_LEVEL_HI, raw))
         return raw, np.broadcast_to((np.cumsum(read) - 1)[index], (n,)), saturated, positions
 
 
 # No model: its inverse returns every level in (0, 1) bit for bit.
-IDENTITY = CalibratedForecaster("pooled", (IsotonicMap([0.0, 1.0], [0.0, 1.0]),))
+IDENTITY = CalibratedForecaster("pooled", [0.0, 1.0], [0.0, 1.0], [0])
 
 
 def grid_points(
@@ -249,10 +262,9 @@ def fit_calibrator(
     knots = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])  # each map's distinct values
     m = key.real[knots]
     start, end = np.searchsorted(key, [m, m + 1])  # each knot's map, as a range of key
-    splits = np.flatnonzero(np.diff(m)) + 1
-    maps = tuple(IsotonicMap(bp, vals, interpolation) for bp, vals in
-                 zip(np.split(key.imag[knots], splits), np.split((knots - start) / (end - start), splits)))
-    return CalibratedForecaster(scope, maps, h=h, w=w)
+    starts = np.flatnonzero(np.r_[True, m[1:] != m[:-1]])  # every map has points
+    return CalibratedForecaster(scope, key.imag[knots], (knots - start) / (end - start), starts,
+                                interpolation, h=h, w=w)
 
 
 def calibrated_cdf(cf: CalibratedForecaster, d: PredictiveDist, y: float,
@@ -288,13 +300,12 @@ def central_interval(cf: CalibratedForecaster, d: PredictiveDist, level: float,
 
 def _model_doc(cf: CalibratedForecaster) -> dict:
     """The model JSON document, as the dict the json module writes."""
-    modes = sorted({m.interpolation for m in cf.maps})
-    if len(modes) > 1:  # the file has one interpolation field
-        raise ValueError(f"cannot write a model whose maps mix {' and '.join(modes)} interpolation")
+    bp, vals = cf.breakpoints.tolist(), cf.values.tolist()
+    bounds = cf.starts.tolist() + [len(bp)]
     return {"version": MODEL_VERSION, "scope": cf.scope, "h": int(cf.h), "w": int(cf.w),
             "interpolation": cf.interpolation,
-            "maps": [{"breakpoints": m.breakpoints.tolist(), "values": m.values.tolist()}
-                     for m in cf.maps]}
+            "maps": [{"breakpoints": bp[i:j], "values": vals[i:j]}
+                     for i, j in zip(bounds, bounds[1:])]}
 
 
 def model_to_json(cf: CalibratedForecaster) -> str:
@@ -314,7 +325,7 @@ def load_model(path) -> CalibratedForecaster:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise ValueError(f"malformed model file: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"malformed model file: expected a JSON object, got {type(doc).__name__}")
@@ -326,18 +337,23 @@ def load_model(path) -> CalibratedForecaster:
     for key in ("h", "w"):
         if type(doc[key]) is not int:
             raise ValueError(f"model field {key!r} must be an integer, got {doc[key]!r}")
-    if not isinstance(doc["maps"], list):
+    maps = doc["maps"]
+    if not isinstance(maps, list):
         raise ValueError("model field 'maps' must be a list")
-    maps = []
-    for i, m in enumerate(doc["maps"]):
+    for i, m in enumerate(maps):
         if not (isinstance(m, dict) and isinstance(m.get("breakpoints"), list)
-                and isinstance(m.get("values"), list)):
-            raise ValueError(f"model map {i} needs 'breakpoints' and 'values' lists")
+                and isinstance(m.get("values"), list) and 0 < len(m["breakpoints"]) == len(m["values"])):
+            raise ValueError(f"model map {i} needs 'breakpoints' and 'values' lists, nonempty and equally long")
+        numbers = m["breakpoints"] + m["values"]
+        types = set(map(type, numbers))
         try:  # JSON numbers only: not strings or booleans, and no int beyond a double's range
-            if not set(map(type, m["breakpoints"] + m["values"])) <= {int, float}:
+            if not types <= {int, float}:
                 raise TypeError
-            knots = [np.asarray(m[key], dtype=np.float64) for key in ("breakpoints", "values")]
+            if int in types:
+                np.asarray(numbers, dtype=np.float64)
         except (TypeError, OverflowError):
             raise ValueError(f"model map {i} has a knot that is not a number") from None
-        maps.append(IsotonicMap(*knots, doc["interpolation"]))
-    return CalibratedForecaster(doc["scope"], tuple(maps), h=doc["h"], w=doc["w"])
+    bp, vals = (np.array(list(chain.from_iterable(m[key] for m in maps)), dtype=np.float64)
+                for key in ("breakpoints", "values"))
+    starts = np.cumsum([0] + [len(m["values"]) for m in maps[:-1]])
+    return CalibratedForecaster(doc["scope"], bp, vals, starts, doc["interpolation"], h=doc["h"], w=doc["w"])

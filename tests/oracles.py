@@ -92,6 +92,19 @@ def isotonic_grid_objective(ys, ws=None, step: float = 1e-3) -> float:
     return float(dp.min())
 
 
+def knot_table(maps, interpolation=None):
+    """The knot table of ``maps`` (each with ``breakpoints``, ``values`` and
+    ``interpolation``), as ``CalibratedForecaster`` takes it after its
+    scope: breakpoints and values concatenated, each map's start, and the
+    one interpolation mode, which is the maps' own unless given."""
+    modes = {m.interpolation for m in maps} if interpolation is None else {interpolation}
+    if len(modes) != 1:
+        raise ValueError(f"a knot table has one interpolation mode, got {sorted(modes)}")
+    sizes = [m.breakpoints.size for m in maps]
+    return (np.concatenate([m.breakpoints for m in maps]), np.concatenate([m.values for m in maps]),
+            np.cumsum([0] + sizes[:-1]), modes.pop())
+
+
 def ks_statistic(sample) -> float:
     """Kolmogorov-Smirnov distance of a sample from Uniform(0, 1)."""
     u = np.sort(np.asarray(sample, dtype=np.float64))

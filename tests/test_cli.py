@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import isocal.recalibration
 from isocal.cli import _build_parser, main
-from isocal.isotonic import INTERPOLATION_MODES, inverse_maps
+from isocal.isotonic import INTERPOLATION_MODES, IsotonicMap, inverse_maps
 from isocal.metrics import CE_VARIANTS, calibration_error
 from isocal.recalibration import (
     DEFAULT_MIN_POINTS_PER_CELL,
@@ -268,7 +268,8 @@ class TestModelFileValidation:
     @staticmethod
     def evaluate_with(alpha2_files, tmp_path, capsys, doc):
         model = tmp_path / "model.json"
-        model.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        model.write_bytes(doc if isinstance(doc, bytes) else
+                          (doc if isinstance(doc, str) else json.dumps(doc)).encode())
         capsys.readouterr()
         code = run("evaluate", "--forecasts", alpha2_files / "test_fc.csv",
                    "--observations", alpha2_files / "test_obs.csv", "--model", model)
@@ -290,6 +291,18 @@ class TestModelFileValidation:
     def test_nesting_deeper_than_the_parser_goes(self, alpha2_files, tmp_path, capsys):
         code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, "[" * 100_000 + "]" * 100_000)
         assert code == 3 and "malformed model file" in err
+
+    def test_file_that_is_not_utf8(self, alpha2_files, tmp_path, capsys):
+        doc = json.dumps(self.pooled()).encode().replace(b"pooled", b"pooled\xff")
+        code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, doc)
+        assert code == 3 and err.startswith("isocal: error: malformed model file: 'utf-8' codec")
+
+    def test_bad_knot_names_its_map(self, alpha2_files, tmp_path, capsys):
+        maps = [{"breakpoints": [0.0, 0.5, 1.0], "values": [0.0, 0.5, 1.0]} for _ in range(8)]
+        maps[5]["breakpoints"] = [0.0, 0.5, 0.5]
+        doc = self.pooled(scope="per_cell", h=2, w=4, maps=maps)
+        code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, doc)
+        assert (code, err) == (3, "isocal: error: model map 5: breakpoints must be strictly increasing\n")
 
     def test_map_without_breakpoints(self, alpha2_files, tmp_path, capsys):
         doc = self.pooled(maps=[{"values": [0.0, 1.0]}])
@@ -354,9 +367,9 @@ class TestReliabilityCommand:
                    "--scope", "per-cell", "--min-points-per-cell", "10", "--out", model) == 0
         inverted = []
 
-        def counting(maps, p):
-            inverted.append(len(maps))
-            return inverse_maps(maps, p)
+        def counting(table, rows, p):
+            inverted.append(len(rows))
+            return inverse_maps(table, rows, p)
 
         monkeypatch.setattr(isocal.recalibration, "inverse_maps", counting)
         assert run("reliability", "--forecasts", fc, "--observations", obs, "--model", model,
@@ -478,6 +491,27 @@ class TestUsage:
         variant = options["evaluate", "ce_variant"]
         assert tuple(variant.choices) == CE_VARIANTS
         assert variant.default == signature(calibration_error).parameters["variant"].default
+
+
+class TestCliPathBuildsNoIsotonicMap:
+    def test_per_cell_pipeline_runs_without_isotonic_maps(self, tmp_path, monkeypatch):
+        """Fitting, saving, loading and scoring a per-cell model read the
+        knot table only: with `IsotonicMap` unbuildable, all three stages
+        still succeed."""
+        fc, obs = synth_files(tmp_path, "t", grid="2x3x40", alpha="2", seed="5")
+
+        def refuse(self):
+            raise AssertionError("IsotonicMap built on the CLI path")
+
+        monkeypatch.setattr(IsotonicMap, "__post_init__", refuse)
+        model = tmp_path / "m.json"
+        assert run("calibrate", "--forecasts", fc, "--observations", obs, "--scope", "per-cell",
+                   "--min-points-per-cell", "20", "--out", model) == 0
+        scoring = ["--forecasts", fc, "--observations", obs, "--model", model]
+        assert run("evaluate", *scoring, "--out", tmp_path / "r.json") == 0
+        assert run("reliability", *scoring, "--cell", "1,2", "--out", tmp_path / "c.csv") == 0
+        with pytest.raises(AssertionError, match="built on the CLI path"):
+            IsotonicMap([0.0, 1.0], [0.0, 1.0])
 
 
 class TestPipelineDeterminism:

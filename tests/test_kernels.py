@@ -23,6 +23,8 @@ from isocal.metrics import (
 from isocal.predictive import Empirical, ForecastColumns, Gaussian, cdf, quantile, variance
 from isocal.recalibration import IDENTITY, CalibratedForecaster, fit_calibrator, grid_points
 
+import oracles
+
 LEVELS = np.round(np.arange(1, 20) * 0.05, 10)
 SHARPNESS_LEVELS = (np.arange(SHARPNESS_GRID) + 0.5) / SHARPNESS_GRID
 
@@ -108,7 +110,7 @@ def test_sharpness_of_a_list_matches_the_per_forecast_loop():
     forecasts = [Empirical(rng.normal(size=int(k))) for k in rng.integers(2, 9, size=40)]
     forecasts += [Gaussian(float(m), float(s)) for m, s in rng.uniform(0.5, 3.0, size=(40, 2))]
     rng.shuffle(forecasts)
-    cf = CalibratedForecaster("pooled", (IsotonicMap([0.0, 0.3, 1.0], [0.0, 0.5, 1.0]),))
+    cf = CalibratedForecaster("pooled", *oracles.knot_table([IsotonicMap([0.0, 0.3, 1.0], [0.0, 0.5, 1.0])]))
     raw = cf.maps[0].inverse(SHARPNESS_LEVELS)
     loop = np.mean([np.var([quantile(d, r) for r in raw]) for d in forecasts])
     assert sharpness(forecasts, cf) == pytest.approx(loop, rel=1e-12)
@@ -121,29 +123,38 @@ def test_sharpness_of_a_list_matches_the_per_forecast_loop():
        st.lists(st.integers(0, 40), min_size=1, max_size=10))
 @settings(max_examples=150, deadline=None)
 def test_batched_inverse_matches_map_by_map(specs, ps):
-    maps = []
-    for knots, mode in specs:
-        bp = np.unique(knots) / 20.0
-        vals = np.sort(np.asarray(knots[:bp.size], dtype=np.float64)) / 20.0
-        maps.append(IsotonicMap(bp, vals, mode))
     p = np.asarray(ps) / 40.0  # lands on knot values too
-    table = inverse_maps(maps, p)
-    for m, row in zip(maps, table):
-        assert np.array_equal(row, [ref_inverse(m, pi) for pi in p])
-    per_cell = CalibratedForecaster("per_cell", tuple(maps), h=1, w=len(maps))
-    for c, m in enumerate(maps):
-        assert np.array_equal(table[per_cell._map_index((0, c))], m.inverse(p))
-    cells = (np.zeros(len(maps), dtype=int), np.arange(len(maps)))
-    assert np.array_equal(table[per_cell._map_index(cells)], table)
+    for mode in ("linear", "step"):  # the maps of each mode form one knot table
+        maps = []
+        for knots, m in specs:
+            if m == mode:
+                bp = np.unique(knots) / 20.0
+                vals = np.sort(np.asarray(knots[:bp.size], dtype=np.float64)) / 20.0
+                maps.append(IsotonicMap(bp, vals, mode))
+        if not maps:
+            continue
+        per_cell = CalibratedForecaster("per_cell", *oracles.knot_table(maps), h=1, w=len(maps))
+        rows = np.arange(len(maps))
+        table = inverse_maps(per_cell, rows, p)
+        for m, row in zip(maps, table):
+            assert np.array_equal(row, [ref_inverse(m, pi) for pi in p])
+        assert np.array_equal(inverse_maps(per_cell, rows[::-1], p), table[::-1])
+        for c, m in enumerate(maps):
+            assert np.array_equal(table[per_cell._map_index((0, c))], m.inverse(p))
+        cells = (np.zeros(len(maps), dtype=int), rows)
+        assert np.array_equal(table[per_cell._map_index(cells)], table)
 
 
 def test_batched_inverse_spans_several_blocks():
     rng = np.random.default_rng(2)
     maps = [IsotonicMap(np.unique(rng.uniform(size=8)), np.sort(rng.uniform(size=8)),
                         "step" if i % 4 == 0 else "linear") for i in range(300)]
-    p = np.linspace(0.0, 1.0, 101)  # 300 x 101 pairs: more than one block
-    expected = [[ref_inverse(m, pi) for pi in p] for m in maps]
-    assert np.array_equal(inverse_maps(maps, p), expected)
+    p = np.linspace(0.0, 1.0, 101)  # 225 linear maps x 101 levels: more than one block
+    for mode in ("linear", "step"):
+        group = [m for m in maps if m.interpolation == mode]
+        cf = CalibratedForecaster("per_cell", *oracles.knot_table(group), h=1, w=len(group))
+        expected = [[ref_inverse(m, pi) for pi in p] for m in group]
+        assert np.array_equal(inverse_maps(cf, np.arange(len(group)), p), expected)
 
 
 def _metrics(cols, obs, cf=None):
@@ -208,7 +219,7 @@ def test_per_cell_equals_pooled_on_one_cell(kind):
 def test_per_cell_errors_name_the_cell():
     flat = IsotonicMap([0.2, 0.8], [0.3, 0.6])
     fine = IsotonicMap([0.0, 1.0], [0.0, 1.0])
-    cf = CalibratedForecaster("per_cell", (fine, fine, flat, flat), h=2, w=2)
+    cf = CalibratedForecaster("per_cell", *oracles.knot_table([fine, fine, flat, flat]), h=2, w=2)
     cols = ForecastColumns(means=[0.0], stds=[1.0])
     assert sharpness(cols, cf, (0, 1)) > 0.0
     with pytest.raises(ValueError, match=r"too degenerate for sharpness in cell \(1, 0\)"):
@@ -266,7 +277,7 @@ def test_one_call_over_all_cells_matches_the_per_cell_loop(kind):
     # sharpness: it is skipped, as the loop skips it.
     maps = list(fitted.maps)
     maps[2 * w + 1] = IsotonicMap([0.2, 0.8], [0.3, 0.6])
-    cf = CalibratedForecaster("per_cell", tuple(maps), h=h, w=w)
+    cf = CalibratedForecaster("per_cell", *oracles.knot_table(maps), h=h, w=w)
     fs, gs = grids(0.3)  # ragged cells
     values = gs.values.copy()
     values[:, 2, 1] = np.nan
@@ -346,16 +357,18 @@ def differential_cases(seed):
 def differential_models(forecasts, obs, rng):
     """(calibrator, cell) pairs: none, a pooled fit on the points
     themselves, a step map, a steep map, a map saturating at both ends, and
-    all of these as one per-cell model that each point reads at random."""
+    the knots of all of these as one per-cell model that each point reads
+    at random, once read as linear maps and once as step maps."""
     maps = (fit_calibrator(forecasts, obs).maps[0],
             IsotonicMap([0.1, 0.5, 0.9], [0.2, 0.5, 0.9], "step"),
             IsotonicMap([0.0, 0.4, np.nextafter(0.4, 1.0), 1.0], [0.0, 0.1, 0.9, 1.0]),
             IsotonicMap([0.2, 0.8], [0.3, 0.6]))
     yield None, None
     for m in maps:
-        yield CalibratedForecaster("pooled", (m,)), None
+        yield CalibratedForecaster("pooled", *oracles.knot_table([m])), None
     cell = (np.zeros(obs.size, dtype=int), rng.integers(0, len(maps), size=obs.size))
-    yield CalibratedForecaster("per_cell", maps, h=1, w=len(maps)), cell
+    for mode in ("linear", "step"):
+        yield CalibratedForecaster("per_cell", *oracles.knot_table(maps, mode), h=1, w=len(maps)), cell
 
 
 def test_coverage_matches_the_quantile_path_up_to_rounding_ties():

@@ -25,7 +25,7 @@ LEVELS_19 = np.round(np.arange(1, 20) * 0.05, 10)
 
 
 def identity_calibrator():
-    return CalibratedForecaster("pooled", (IsotonicMap([0.0, 1.0], [0.0, 1.0]),))
+    return CalibratedForecaster("pooled", *oracles.knot_table([IsotonicMap([0.0, 1.0], [0.0, 1.0])]))
 
 
 class TestCoverage:
@@ -170,7 +170,7 @@ class TestSharpness:
         assert sharpness(base) == sharpness(shifted)
 
     def test_degenerate_calibrator_raises(self):
-        cf = CalibratedForecaster("pooled", (IsotonicMap([0.2, 0.8], [0.3, 0.6]),))
+        cf = CalibratedForecaster("pooled", *oracles.knot_table([IsotonicMap([0.2, 0.8], [0.3, 0.6])]))
         with pytest.raises(ValueError, match="too degenerate"):
             sharpness([Gaussian(0, 1)], cf)
 
@@ -201,7 +201,7 @@ def test_no_model_is_the_identity_model(k, as_list):
     if as_list:
         forecasts = as_dists
     cell = (rng.integers(0, 2, size=n), rng.integers(0, 3, size=n))
-    per_cell = CalibratedForecaster("per_cell", IDENTITY.maps * 6, h=2, w=3)
+    per_cell = CalibratedForecaster("per_cell", *oracles.knot_table(IDENTITY.maps * 6), h=2, w=3)
     scores = [(reliability_curve(forecasts, obs, LEVELS_19, cf, where).empirical,
                mae_mid_quantile(forecasts, obs, cf, where), sharpness(forecasts, cf, where))
               for cf, where in ((None, None), (IDENTITY, None), (per_cell, cell))]

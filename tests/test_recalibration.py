@@ -35,11 +35,11 @@ LEVELS_19 = np.round(np.arange(1, 20) * 0.05, 10)
 
 
 def identity_calibrator():
-    return CalibratedForecaster("pooled", (IsotonicMap([0.0, 1.0], [0.0, 1.0]),))
+    return CalibratedForecaster("pooled", *oracles.knot_table([IsotonicMap([0.0, 1.0], [0.0, 1.0])]))
 
 
 def constant_calibrator(value=0.5):
-    return CalibratedForecaster("pooled", (IsotonicMap([0.5], [value]),))
+    return CalibratedForecaster("pooled", *oracles.knot_table([IsotonicMap([0.5], [value])]))
 
 
 class TestEmpiricalCdfLevel:
@@ -356,8 +356,8 @@ class TestModelFile:
         maps = (IsotonicMap(knots, knots, interpolation),
                 IsotonicMap(knots[1:], knots[:-1], interpolation))
         if scope == "pooled":
-            return CalibratedForecaster(scope, maps[:1])
-        return CalibratedForecaster(scope, maps, h=1, w=2)
+            return CalibratedForecaster(scope, *oracles.knot_table(maps[:1]))
+        return CalibratedForecaster(scope, *oracles.knot_table(maps), h=1, w=2)
 
     def test_floats_carry_full_precision(self, tmp_path):
         path = tmp_path / "model.json"
@@ -398,15 +398,55 @@ class TestModelFile:
         text = path.read_bytes().decode("utf-8")
         assert text == model_to_json(cf) == json.dumps(json.loads(text)) + "\n"
 
-    def test_refuses_maps_of_mixed_interpolation(self, tmp_path):
-        """The file's one ``interpolation`` field would reload every map as
-        the first map's mode: [linear, step] came back [linear, linear]."""
-        maps = (IsotonicMap([0.2, 0.8], [0.2, 0.8]), IsotonicMap([0.2, 0.8], [0.2, 0.8], "step"))
-        cf = CalibratedForecaster("per_cell", maps, h=1, w=2)
-        path = tmp_path / "model.json"
-        with pytest.raises(ValueError, match="mix linear and step interpolation"):
-            save_model(cf, path)
-        assert not path.exists()
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_map_boundaries(self, tmp_path_factory, data):
+        """Random per-cell tables reload bit for bit; order is checked
+        within maps only; a repeat, a decrease or an empty map is refused,
+        and the error names that map."""
+        h, w = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
+        mode = data.draw(st.sampled_from(["linear", "step"]))
+        maps = []
+        for _ in range(h * w):
+            bp = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6, unique=True)))
+            vals = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(bp), max_size=len(bp))))
+            maps.append(IsotonicMap(bp, vals, mode))
+        # Each map begins at or below where the previous one begins, so at
+        # or below where it ends: order breaks at every map start.
+        maps.sort(key=lambda m: -m.breakpoints[0])
+        cf = CalibratedForecaster("per_cell", *oracles.knot_table(maps), h=h, w=w)
+        assert np.all(np.diff(cf.breakpoints)[cf.starts[1:] - 1] <= 0.0)
+        path = tmp_path_factory.getbasetemp() / "boundaries.json"
+        save_model(cf, path)
+        loaded = load_model(path)
+        for field in ("breakpoints", "values", "starts"):
+            assert getattr(loaded, field).tobytes() == getattr(cf, field).tobytes()
+        assert (loaded.scope, loaded.interpolation, loaded.h, loaded.w) == ("per_cell", mode, h, w)
+
+        i = data.draw(st.integers(0, h * w - 1))
+        doc = json.loads(path.read_text())
+        bp, vals = doc["maps"][i]["breakpoints"], doc["maps"][i]["values"]
+        k = data.draw(st.integers(0, len(bp) - 1))
+        damage = data.draw(st.sampled_from(["repeat", "decrease", "values"]))
+        if damage == "values" and vals[0] < vals[-1]:
+            vals.reverse()
+            rule = "values must be nondecreasing"
+        else:  # knot k again right after itself, or at half its breakpoint
+            bp.insert(k + 1, bp[k] / 2 if damage == "decrease" else bp[k])
+            vals.insert(k + 1, vals[k])
+            rule = "breakpoints must be strictly increasing"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^model map {i}: {rule}$"):
+            load_model(path)
+
+        doc["maps"][i] = {"breakpoints": [], "values": []}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^model map {i} needs 'breakpoints' and 'values' lists, nonempty"):
+            load_model(path)
+        starts = np.r_[cf.starts, cf.breakpoints.size]
+        starts[i] = starts[i + 1]  # map i holds no knot
+        with pytest.raises(ValueError, match="each map holding at least one knot"):
+            CalibratedForecaster("per_cell", cf.breakpoints, cf.values, starts[:-1], mode, h=h, w=w)
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -436,9 +476,9 @@ class TestGridAlignment:
 
     def test_per_cell_lookup_bounds(self):
         cf = identity_calibrator()
-        assert cf.map_for((5, 5)) is cf.maps[0]  # pooled ignores the cell
+        assert_same_map(cf.map_for((5, 5)), cf.maps[0])  # pooled ignores the cell
         per_cell = CalibratedForecaster(
-            "per_cell", tuple(IsotonicMap([0.5], [0.5]) for _ in range(4)), h=2, w=2)
+            "per_cell", *oracles.knot_table([IsotonicMap([0.5], [0.5])] * 4), h=2, w=2)
         with pytest.raises(ValueError, match="cell out of range"):
             per_cell.map_for((2, 0))
         with pytest.raises(ValueError, match="requires a cell"):
