@@ -67,6 +67,8 @@ _FORMATS = {
     ENSEMBLE_HEADER: (("time", "row", "col", "sample_idx"), ("value",), False),
 }
 
+WRITE_BLOCK = 2048  # records per write of `_write_grid`
+
 # Every character a data line of a canonical file can hold: `_write_grid`'s
 # digits, signs, exponents and NaN/inf spellings, and the line break.
 _CANONICAL = b"0123456789,.-+eENanifIty\n"
@@ -95,7 +97,8 @@ def _time_axis(times, n_slices: int, what: str) -> tuple[int, ...]:
 class GridSeries:
     """T x H x W scalar field indexed by integer times (e.g. months).
 
-    Missing entries hold NaN; `mask` reports which entries are valid.
+    Missing entries hold NaN; `mask` reports which entries are valid. No
+    entry is infinite: the observation format cannot hold one.
     """
 
     times: tuple[int, ...]
@@ -105,6 +108,8 @@ class GridSeries:
         vals = np.asarray(self.values, dtype=np.float64)
         if vals.ndim != 3 or vals.shape[1] < 1 or vals.shape[2] < 1:
             raise ValueError(f"values must be a T x H x W array, got shape {vals.shape}")
+        if np.isinf(vals).any():
+            raise ValueError("invalid input value: infinite observation")
         object.__setattr__(self, "times", _time_axis(self.times, vals.shape[0], "value"))
         vals = vals.copy()
         vals.flags.writeable = False
@@ -336,15 +341,19 @@ def _read_grid(path, headers: tuple[str, ...]):
 
 def _write_grid(path, header: str, times, *fields: np.ndarray) -> None:
     """Write dense value fields in canonical order: time, then row, then
-    col (then sample_idx), one record per grid point."""
-    keys = itertools.product(times, *map(range, fields[0].shape[1:]))
-    values = zip(*(field.ravel().tolist() for field in fields))
-    record = ",".join(["%d"] * fields[0].ndim + ["%r"] * len(fields)) + "\n"
-    body = "".join([record % (key + value) for key, value in zip(keys, values)])
+    col (then sample_idx), one record per grid point, `WRITE_BLOCK`
+    records per write. Each value is spelled by ``float.__repr__`` in one
+    C-level pass per field."""
+    axes = (times, *map(range, fields[0].shape[1:]))
+    keys = map(",".join, itertools.product(*(list(map(str, axis)) for axis in axes)))
+    values = (map(float.__repr__, field.ravel().tolist()) for field in fields)
+    records = map(",".join, zip(keys, *values))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(header + "\n")
-        # repr spells a missing value "nan", which no other field can contain
-        fh.write(body.replace("nan", "NaN"))
+        while block := list(itertools.islice(records, WRITE_BLOCK)):
+            # repr spells a missing value "nan", which no other field can contain
+            fh.write("\n".join(block).replace("nan", "NaN"))
+            fh.write("\n")
 
 
 def read_observations(path) -> GridSeries:

@@ -20,8 +20,11 @@ JSON model file::
      "maps": [{"breakpoints": [...], "values": [...]}, ...]}
 
 with per-cell maps in row-major order (pooled models carry exactly one
-map and h = w = 0). The json module writes each knot in Python's shortest
-spelling that reads back as the same double (its ``repr``), so a model
+map and h = w = 0). The json module writes the header fields and
+``float.__repr__`` each knot, a block of knots at a time. That is how the
+json module spells a finite float, so the file is byte for byte what
+``json.dumps`` gives for the document, the tests' oracle. ``repr`` is
+Python's shortest spelling that reads back as the same double, so a model
 reloads bit for bit; files that spell knots with 17 significant digits
 load to the same maps.
 """
@@ -58,6 +61,7 @@ __all__ = [
 ]
 
 MODEL_VERSION = 1
+MODEL_BLOCK = 1024  # knots spelled per C-level pass when writing a model
 DEFAULT_MIN_POINTS_PER_CELL = 30
 
 # Raw quantile levels used in place of an exactly saturated inverse (the
@@ -298,26 +302,39 @@ def central_interval(cf: CalibratedForecaster, d: PredictiveDist, level: float,
     return lo.value, hi.value
 
 
-def _model_doc(cf: CalibratedForecaster) -> dict:
-    """The model JSON document, as the dict the json module writes."""
-    bp, vals = cf.breakpoints.tolist(), cf.values.tolist()
-    bounds = cf.starts.tolist() + [len(bp)]
-    return {"version": MODEL_VERSION, "scope": cf.scope, "h": int(cf.h), "w": int(cf.w),
-            "interpolation": cf.interpolation,
-            "maps": [{"breakpoints": bp[i:j], "values": vals[i:j]}
-                     for i, j in zip(bounds, bounds[1:])]}
+def _knot_text(knots: np.ndarray):
+    """``knots`` as the json module spells a list of finite floats, in text
+    blocks of at most `MODEL_BLOCK` knots, each spelled in one C-level pass."""
+    for i in range(0, knots.size, MODEL_BLOCK):
+        yield ", " if i else "["
+        yield ", ".join(map(float.__repr__, knots[i:i + MODEL_BLOCK].tolist()))
+    yield "]"
+
+
+def _model_text(cf: CalibratedForecaster):
+    """The model JSON document and a line break, as text blocks. Knots are
+    finite (`check_knots`), so ``float.__repr__`` spells them as the json
+    module does."""
+    header = {"version": MODEL_VERSION, "scope": cf.scope, "h": int(cf.h), "w": int(cf.w),
+              "interpolation": cf.interpolation}
+    yield json.dumps(header)[:-1] + ', "maps": ['
+    bounds = cf.starts.tolist() + [cf.breakpoints.size]
+    for i, j in zip(bounds, bounds[1:]):
+        yield '{"breakpoints": ' if i == 0 else '}, {"breakpoints": '
+        yield from _knot_text(cf.breakpoints[i:j])
+        yield ', "values": '
+        yield from _knot_text(cf.values[i:j])
+    yield "}]}\n"
 
 
 def model_to_json(cf: CalibratedForecaster) -> str:
     """Serialize to the model JSON document."""
-    return json.dumps(_model_doc(cf), allow_nan=False) + "\n"
+    return "".join(_model_text(cf))
 
 
 def save_model(cf: CalibratedForecaster, path) -> None:
-    doc = _model_doc(cf)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, allow_nan=False)  # streamed: no file-sized string
-        fh.write("\n")
+        fh.writelines(_model_text(cf))  # streamed: no file-sized string
 
 
 def load_model(path) -> CalibratedForecaster:

@@ -4,13 +4,15 @@ Nothing here imports the package under test: normal functions come from
 mpmath's arbitrary-precision series, and the isotonic oracles solve the
 monotone least-squares problem by explicit enumeration (exact) or by
 dynamic programming over a value grid (approximate), neither of which
-shares anything with a pool-adjacent-violators implementation.
+shares anything with a pool-adjacent-violators implementation. The
+writer oracles spell files the plain way: the whole model document as one
+dict for the json module, and one %-formatted record per grid point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 
 import numpy as np
 from mpmath import erfinv, log, mp, mpf, ncdf, npdf, sqrt
@@ -103,6 +105,28 @@ def knot_table(maps, interpolation=None):
     sizes = [m.breakpoints.size for m in maps]
     return (np.concatenate([m.breakpoints for m in maps]), np.concatenate([m.values for m in maps]),
             np.cumsum([0] + sizes[:-1]), modes.pop())
+
+
+def model_doc(cf) -> dict:
+    """The model JSON document of a fitted ``CalibratedForecaster``, as the
+    dict whose ``json.dumps`` is its model file."""
+    bp, vals = cf.breakpoints.tolist(), cf.values.tolist()
+    bounds = cf.starts.tolist() + [len(bp)]
+    return {"version": 1, "scope": cf.scope, "h": int(cf.h), "w": int(cf.w),
+            "interpolation": cf.interpolation,
+            "maps": [{"breakpoints": bp[i:j], "values": vals[i:j]}
+                     for i, j in zip(bounds, bounds[1:])]}
+
+
+def grid_text(header: str, times, *fields) -> str:
+    """A grid CSV's text: the header, then one record per grid point in
+    time, row, col (, sample_idx) order, keys as %d and values as %r with
+    a missing value written NaN."""
+    keys = product(times, *map(range, fields[0].shape[1:]))
+    values = zip(*(field.ravel().tolist() for field in fields))
+    record = ",".join(["%d"] * fields[0].ndim + ["%r"] * len(fields)) + "\n"
+    body = "".join([record % (key + value) for key, value in zip(keys, values)])
+    return header + "\n" + body.replace("nan", "NaN")
 
 
 def ks_statistic(sample) -> float:

@@ -21,6 +21,7 @@ from isocal.gridio import (
 )
 from isocal.predictive import Empirical, Gaussian
 
+import oracles
 from mutations import mutated
 
 
@@ -180,6 +181,55 @@ class TestForecastFormats:
         back = read_forecasts(path)
         np.testing.assert_array_equal(back.samples, fs.samples)
 
+    def test_write_holds_no_file_sized_string(self, tmp_path):
+        """An 8x8x60 grid of 20 members (2.2 MB of CSV) is written in
+        blocks: joining the whole file into one string peaked at 11.2 MB."""
+        fs = ForecastSeries(times=tuple(range(60)), samples=np.random.default_rng(4).normal(size=(60, 8, 8, 20)))
+        tracemalloc.start()
+        try:
+            write_forecasts(fs, tmp_path / "fc.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8_000_000
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e300, -1e300, 0.1, 1e-07]
+
+
+def _edge_grid(kind, shape, rng):
+    """A grid of ``kind`` whose first values are `EDGE_VALUES`; observations
+    also hold NaN holes, their last value among them. Returns the series,
+    its header and its value fields."""
+    def field(*members, edges=EDGE_VALUES):
+        values = rng.normal(scale=10.0, size=shape + members)
+        values.flat[:len(edges)] = edges[:values.size]
+        return values
+    times = tuple(range(0, 3 * shape[0], 3))
+    if kind == "observations":
+        values = field()
+        values[rng.uniform(size=shape) < 0.3] = np.nan
+        values.flat[-1] = np.nan
+        gs = GridSeries(times=times, values=values)
+        return gs, gridio.OBS_HEADER, (gs.values,)
+    if kind == "gaussian":
+        fs = ForecastSeries(times=times, means=field(), stds=np.abs(field(edges=[5e-324, 1e300])))
+        return fs, gridio.GAUSSIAN_HEADER, (fs.means, fs.stds)
+    fs = ForecastSeries(times=times, samples=field(3))
+    return fs, gridio.ENSEMBLE_HEADER, (fs.samples,)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (4, 2, 3)])
+@pytest.mark.parametrize("kind", ["observations", "gaussian", "ensemble"])
+def test_writer_matches_the_record_by_record_oracle(tmp_path, monkeypatch, kind, shape):
+    """The blocked writer writes the bytes of one %-formatted record per
+    grid point, with blocks that end mid-grid and a last block cut short."""
+    monkeypatch.setattr(gridio, "WRITE_BLOCK", 5)
+    series, header, fields = _edge_grid(kind, shape, np.random.default_rng(7))
+    path = tmp_path / "grid.csv"
+    (write_observations if kind == "observations" else write_forecasts)(series, path)
+    assert path.read_bytes() == oracles.grid_text(header, series.times, *fields).encode("utf-8")
+
 
 class Format(NamedTuple):
     header: str
@@ -284,6 +334,14 @@ class TestSeriesValidation:
         with pytest.raises(ValueError, match=r"^out-of-order times: 5 at position 2 follows 5$"):
             make((1, 5, 5), 3)
         assert make((1.0, 4), 2).times == (1, 4)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf])
+    def test_grid_series_refuses_infinite_values(self, bad):
+        """NaN marks a missing value; the observation format holds no inf."""
+        values = np.zeros((2, 1, 2))
+        values[1, 0, 1] = bad
+        with pytest.raises(ValueError, match=r"^invalid input value: infinite observation$"):
+            GridSeries(times=(0, 1), values=values)
 
     def test_forecast_series_needs_exactly_one_representation(self):
         with pytest.raises(ValueError):

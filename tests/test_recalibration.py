@@ -1,6 +1,8 @@
 import itertools
 import json
 import re
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,13 +392,40 @@ class TestModelFile:
             assert a.breakpoints.tobytes() == b.breakpoints.tobytes()
             assert a.values.tobytes() == b.values.tobytes()
 
-    def test_file_is_the_json_modules_output(self, tmp_path):
-        forecasts, obs = generate(SynthConfig(n=200, alpha=2.0, seed=1))
-        cf = fit_calibrator(forecasts, obs)
+    @pytest.mark.parametrize("interpolation", ["linear", "step"])
+    @pytest.mark.parametrize("scope", ["pooled", "per_cell"])
+    def test_file_is_the_json_modules_output(self, tmp_path, monkeypatch, scope, interpolation):
+        """The file, and `model_to_json`, hold the bytes the json module
+        writes for the model document, with maps of block - 1, block and
+        block + 1 knots (and a fitted one) straddling the writer's blocks."""
+        monkeypatch.setattr(isocal.recalibration, "MODEL_BLOCK", 3)
+        knots = [0.0, 5e-324, 1e-07, 0.1, 1.0]
+        maps = [IsotonicMap(knots[:n], knots[-n:], interpolation) for n in (2, 3, 4)]
+        if scope == "pooled":
+            forecasts, obs = generate(SynthConfig(n=200, alpha=2.0, seed=1))
+            models = [CalibratedForecaster(scope, *oracles.knot_table([m])) for m in maps]
+            models.append(fit_calibrator(forecasts, obs, interpolation=interpolation))
+        else:
+            models = [CalibratedForecaster(scope, *oracles.knot_table(maps), h=1, w=3)]
         path = tmp_path / "model.json"
-        save_model(cf, path)
-        text = path.read_bytes().decode("utf-8")
-        assert text == model_to_json(cf) == json.dumps(json.loads(text)) + "\n"
+        for cf in models:
+            save_model(cf, path)
+            expected = json.dumps(oracles.model_doc(cf), allow_nan=False) + "\n"
+            assert path.read_bytes() == model_to_json(cf).encode("utf-8") == expected.encode("utf-8")
+
+    def test_save_holds_no_file_sized_string(self, tmp_path):
+        """A 30,720-knot pooled model (about 1.2 MB of JSON) is written in
+        blocks: the json module's writer peaked at 2.5 MB here."""
+        rng = np.random.default_rng(0)
+        bp = np.unique(rng.uniform(size=30_720))
+        cf = CalibratedForecaster("pooled", bp, np.arange(bp.size) / bp.size, [0])
+        tracemalloc.start()
+        try:
+            save_model(cf, tmp_path / "model.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -417,7 +446,9 @@ class TestModelFile:
         cf = CalibratedForecaster("per_cell", *oracles.knot_table(maps), h=h, w=w)
         assert np.all(np.diff(cf.breakpoints)[cf.starts[1:] - 1] <= 0.0)
         path = tmp_path_factory.getbasetemp() / "boundaries.json"
-        save_model(cf, path)
+        with mock.patch.object(isocal.recalibration, "MODEL_BLOCK", data.draw(st.integers(1, 4))):
+            save_model(cf, path)
+        assert path.read_text() == json.dumps(oracles.model_doc(cf), allow_nan=False) + "\n"
         loaded = load_model(path)
         for field in ("breakpoints", "values", "starts"):
             assert getattr(loaded, field).tobytes() == getattr(cf, field).tobytes()
