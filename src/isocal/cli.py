@@ -260,7 +260,10 @@ def cmd_synth(args) -> int:
                           k=args.k, seed=args.seed, grid=args.grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    fs, gs = generate_gridded(cfg)
+    try:
+        fs, gs = generate_gridded(cfg)
+    except MemoryError as exc:
+        raise ValueError(f"not enough memory: {exc}") from None
     gridio.write_forecasts(fs, args.out_forecasts)
     gridio.write_observations(gs, args.out_observations)
     print(f"forecasts: {args.out_forecasts} ({fs.kind}, {cfg.n} points)")

@@ -18,12 +18,18 @@ as the token ``NaN`` and tracked by a validity mask; forecast files must
 be fully populated with strictly positive spreads. Reads and writes
 round-trip at full double precision.
 
+A file is read once, as bytes. CRLF and lone CR line ends become LF on
+those bytes, as text mode would turn them (a CR byte is never part of a
+UTF-8 sequence), so a CRLF file reads like its LF copy. Only the header
+is decoded up front.
+
 Fields follow Python's ``int`` (keys) and ``float`` (values) syntax. A
-file whose data lines hold only the characters a written file holds
-(`_CANONICAL`) is parsed by numpy's C reader; every other file, and any
-file that reader cannot take cleanly, goes to the line-by-line reader.
-Both give the same arrays bit for bit, and every error on a line comes
-from the line-by-line reader.
+file whose data lines hold only the bytes a written file holds
+(`_CANONICAL`) is parsed by numpy's C reader straight from the file's
+bytes, with no list of lines; every other file, and any file that
+reader cannot take cleanly, is decoded and goes to the line-by-line
+reader. Both give the same arrays bit for bit, and every error on a line
+comes from the line-by-line reader.
 
 A bad file reports one error. A wrong field count on any line is found
 before any value is parsed; otherwise the earliest line with a problem
@@ -37,6 +43,7 @@ dense grid is allocated, so a stray index costs no memory.
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import warnings
@@ -245,24 +252,27 @@ def _parse_lines(lines: list[str], key_names, value_names, nan_ok: bool):
     return columns, n, error
 
 
-def _load_canonical(body: str, lines: list[str], n_records: int, key_names, value_names, nan_ok: bool):
-    """Parse data lines with numpy's C reader, or return None.
+def _load_canonical(raw: bytes, start: int, key_names, value_names, nan_ok: bool):
+    """Parse the data lines of ``raw`` (from byte ``start`` on, LF line
+    ends) with numpy's C reader, or return None.
 
-    Only a body made of `_CANONICAL` characters is tried: there numpy
-    reads each token as Python's ``int``/``float`` would. Any warning,
-    error or forbidden value also returns None, so that `_parse_lines`
-    reports it.
+    Only a body made of `_CANONICAL` bytes is tried: there numpy reads
+    each token as Python's ``int``/``float`` would. numpy streams the
+    lines from the buffer, skipping blank ones. Any warning, error or
+    forbidden value also returns None, so that `_parse_lines` reports it.
     """
-    if not (body.isascii() and not body.encode("ascii").translate(None, _CANONICAL)):
+    # Deleting the canonical bytes from the whole file leaves the header's
+    # letters, plus the body's leftovers if it has any.
+    if raw.translate(None, _CANONICAL) != raw[:start].translate(None, _CANONICAL):
         return None
     dtype = np.dtype([(name, np.int64) for name in key_names] + [(name, np.float64) for name in value_names])
+    stream = io.BytesIO(raw)
+    stream.seek(start)
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+            table = np.loadtxt(stream, dtype=dtype, delimiter=",", comments=None, ndmin=1, encoding="ascii")
     except (ValueError, Warning):
-        return None
-    if len(table) != n_records:
         return None
     columns = [table[name] for name in dtype.names]
     for j, (name, col) in enumerate(zip(dtype.names, columns)):
@@ -276,46 +286,60 @@ def _where(names, key) -> str:
     return "(" + ", ".join(f"{'t' if name == 'time' else name}={v}" for name, v in zip(names, key)) + ")"
 
 
+def _data_lines(raw: bytes) -> list[str]:
+    """The lines after the header, decoded. A byte that is not UTF-8
+    decodes to a lone surrogate, which no field accepts, so it is reported
+    like any other bad token on its line."""
+    return raw.decode("utf-8", "surrogateescape").split("\n")[1:]
+
+
 def _read_grid(path, headers: tuple[str, ...]):
     """Parse a grid CSV whose header is one of ``headers``.
 
     Returns the header, the sorted distinct times and one dense array per
     value column, shaped T x H x W (x k for ensembles).
     """
-    # A byte that is not UTF-8 decodes to a lone surrogate, which no field
-    # accepts, so it is reported like any other bad token on its line.
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        text = fh.read()
-    header, *lines = text.split("\n")
-    if not header and not lines:
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if b"\r" in raw:
+        # As text mode reads the file. A CR byte is never part of a UTF-8
+        # sequence, so translating the bytes equals translating the text.
+        raw = raw.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    if not raw:
         raise ParseError("empty file, expected a header", line=1)
+    end = raw.find(b"\n")
+    if end < 0:
+        end = len(raw)
+    header = raw[:end].decode("utf-8", "surrogateescape")
     if header not in headers:
         raise ParseError(f"malformed header {header!r}, expected {' or '.join(headers)}", line=1)
     key_names, value_names, nan_ok = _FORMATS[header]
-    n_records = len(lines) - lines.count("")
-    if not n_records:
+    if raw.count(b"\n", end) == len(raw) - end:  # nothing but line breaks after the header
         raise ParseError("no data records", line=2)
 
-    columns = _load_canonical(text[len(header) + 1:], lines, n_records, key_names, value_names, nan_ok)
-    n, error = n_records, None
+    columns = _load_canonical(raw, end + 1, key_names, value_names, nan_ok)
+    error = None
     if columns is None:
-        columns, n, error = _parse_lines(lines, key_names, value_names, nan_ok)
-    keys = np.array([col[:n] for col in columns[:len(key_names)]])
+        columns, n, error = _parse_lines(_data_lines(raw), key_names, value_names, nan_ok)
+    else:
+        n = len(columns[0])
+    keys = [col[:n] for col in columns[:len(key_names)]]
 
     order = np.lexsort(keys[::-1])
-    ordered = keys[:, order]
-    repeats = order[1:][(ordered[:, 1:] == ordered[:, :-1]).all(axis=0)]
+    ordered = [key[order] for key in keys]
+    repeats = order[1:][np.logical_and.reduce([key[1:] == key[:-1] for key in ordered])]
     if repeats.size or error is not None:
-        linenos = [lineno for lineno, line in enumerate(lines, start=2) if line]
+        linenos = [lineno for lineno, line in enumerate(_data_lines(raw), start=2) if line]
         if repeats.size:
             i = repeats.min()
-            first = np.flatnonzero((keys == keys[:, [i]]).all(axis=0))[0]
-            raise ParseError(f"duplicate entry for {_where(key_names, keys[:, i])}, "
+            key = [int(k[i]) for k in keys]
+            first = np.flatnonzero(np.logical_and.reduce([k == v for k, v in zip(keys, key)]))[0]
+            raise ParseError(f"duplicate entry for {_where(key_names, key)}, "
                              f"first seen on line {linenos[first]}", line=linenos[i])
         raise ParseError(error, line=linenos[n])
 
-    new_time = np.r_[True, ordered[0, 1:] != ordered[0, :-1]]
-    times = ordered[0, new_time].tolist()
+    new_time = np.r_[True, ordered[0][1:] != ordered[0][:-1]]
+    times = ordered[0][new_time].tolist()
     shape = (len(times), *(int(col.max()) + 1 for col in keys[1:]))
     if len(shape) == 4 and shape[3] < 2:
         raise ParseError("ensemble files need at least 2 members per cell")
@@ -327,10 +351,9 @@ def _read_grid(path, headers: tuple[str, ...]):
             size = min(size, n + 1)  # same quotients for rest <= n, and fits int64
             expected.insert(0, rest % size)
             rest //= size
-        expected = np.array(expected)
         ordered[0] = np.cumsum(new_time) - 1
-        differ = np.flatnonzero((ordered != expected[:, :n]).any(axis=0))
-        hole = expected[:, differ[0] if differ.size else n].tolist()
+        differ = np.flatnonzero(np.logical_or.reduce([o != e[:n] for o, e in zip(ordered, expected)]))
+        hole = [int(e[differ[0] if differ.size else n]) for e in expected]
         where = _where(key_names, (times[hole[0]], *hole[1:3]))
         if len(shape) == 4:
             raise ParseError(f"non-rectangular grid: missing sample_idx {hole[3]} for {where}; "

@@ -137,8 +137,9 @@ def _as241(flat: np.ndarray) -> np.ndarray:
 
 def forecast_arrays(means=None, stds=None, samples=None) -> dict[str, np.ndarray]:
     """Read-only float64 copies of one kind of forecast parameters, by name:
-    ``means`` and ``stds``, or ``samples``. Every value must be finite and
-    every std positive."""
+    ``means`` and ``stds``, or ``samples``. Every value must be finite,
+    every std positive, and the members of each ensemble (the last axis of
+    ``samples``) no further apart than the largest double."""
     if (means is None) != (stds is None) or (means is None) == (samples is None):
         raise ValueError("provide either means and stds, or samples")
     given = {"samples": samples} if means is None else {"means": means, "stds": stds}
@@ -149,7 +150,21 @@ def forecast_arrays(means=None, stds=None, samples=None) -> dict[str, np.ndarray
         arr.flags.writeable = False
     if means is not None and (arrays["stds"] <= 0.0).any():
         raise ValueError(f"nonpositive std: {arrays['stds'][arrays['stds'] <= 0.0][0]}")
+    if means is None and arrays["samples"].ndim and arrays["samples"].size:
+        _check_member_spread(arrays["samples"])
     return arrays
+
+
+def _check_member_spread(samples: np.ndarray) -> None:
+    """Refuse an ensemble (the last axis of finite ``samples``) whose
+    members are further apart than the largest double: its CDF and
+    quantile interpolation would divide by an infinite member gap."""
+    lo, hi = samples.min(axis=-1, keepdims=True), samples.max(axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(np.isinf(hi - lo))
+    if wide.size:
+        raise ValueError(f"invalid input value: ensemble members from {lo.flat[wide[0]].item()!r} "
+                         f"to {hi.flat[wide[0]].item()!r} span more than the double range")
 
 
 @dataclass(frozen=True)
@@ -185,6 +200,7 @@ class Empirical:
             raise ValueError("invalid input value: empirical samples must be a nonempty 1-d sequence")
         if not np.all(np.isfinite(arr)):
             raise ValueError("invalid input value: non-finite sample")
+        _check_member_spread(arr)
         arr = np.sort(arr)
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)

@@ -89,6 +89,8 @@ class SynthConfig:
             raise ValueError("n must be at least 1")
         if not (math.isfinite(self.alpha) and self.alpha > 0.0):
             raise ValueError(f"alpha must be positive: {self.alpha}")
+        if not math.isfinite(self.alpha * STD_RANGE[1]):
+            raise ValueError(f"alpha too large: {self.alpha} (the reported std would overflow)")
         if not math.isfinite(self.bias):
             raise ValueError("bias must be finite")
         if self.mode not in ("gaussian_params", "sample_set"):

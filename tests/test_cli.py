@@ -87,6 +87,26 @@ class TestSynthCommand:
         text = obs.read_text()
         assert "9,1,2," in text
 
+    # Every size here needs at least 7 PiB, which numpy refuses at once.
+    @pytest.mark.parametrize("flags", [
+        ["--grid", "100000x100000x100000"],
+        ["--n", "1000000000000000"],
+        ["--n", "1", "--mode", "sample_set", "--k", "1000000000000000"],
+    ], ids=["grid", "n", "k"])
+    def test_size_numpy_cannot_allocate_is_one_line_error(self, tmp_path, capsys, flags):
+        fc, obs = tmp_path / "f.csv", tmp_path / "o.csv"
+        assert run("synth", *flags, "--out-forecasts", fc, "--out-observations", obs) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("isocal: error: not enough memory: ") and err.count("\n") == 1
+        assert not fc.exists() and not obs.exists()
+
+    def test_alpha_whose_std_overflows_is_usage_error(self, tmp_path, capsys):
+        code = run("synth", "--n", "100", "--alpha", "1e308",
+                   "--out-forecasts", tmp_path / "f.csv", "--out-observations", tmp_path / "o.csv")
+        assert code == 1
+        assert capsys.readouterr().err == \
+            "isocal: usage error: alpha too large: 1e+308 (the reported std would overflow)\n"
+
 
 @pytest.fixture(scope="module")
 def alpha2_files(tmp_path_factory):
@@ -251,6 +271,21 @@ class TestEvaluateCommand:
                    "--observations", alpha2_files / "test_obs.csv",
                    "--levels", "0:1:1e-12") == 1
         assert "more than 1000 levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "evaluate", "reliability"])
+    def test_ensemble_wider_than_the_double_range_is_one_line_error(self, tmp_path, capsys, command):
+        """Members -1e308 and 1e308 are 2e308 apart: the PIT would divide
+        by an infinite gap."""
+        fc = tmp_path / "fc.csv"
+        fc.write_text("time,row,col,sample_idx,value\n0,0,0,0,-1e308\n0,0,0,1,1e308\n"
+                      "1,0,0,0,0.0\n1,0,0,1,1.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,row,col,value\n0,0,0,9.9e307\n1,0,0,0.5\n")
+        out = tmp_path / "out"
+        assert run(command, "--forecasts", fc, "--observations", obs, "--out", out) == 3
+        assert capsys.readouterr().err == ("isocal: error: invalid input value: ensemble members "
+                                           "from -1e+308 to 1e+308 span more than the double range\n")
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_metric_is_an_error_not_json_nan(self, tmp_path, capsys):

@@ -193,6 +193,33 @@ class TestForecastFormats:
             tracemalloc.stop()
         assert peak < 8_000_000
 
+    @staticmethod
+    def read_peak(path):
+        tracemalloc.start()
+        try:
+            read_forecasts(path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ensemble_read_holds_no_line_list(self, tmp_path):
+        """Reading the 8x8x60 grid of 20 members (2.2 MB of CSV) holds the
+        file's bytes once: decoding it and splitting it into one str per
+        line peaked at 18.0 MB."""
+        path = tmp_path / "fc.csv"
+        write_forecasts(ForecastSeries(times=tuple(range(60)),
+                                       samples=np.random.default_rng(4).normal(size=(60, 8, 8, 20))), path)
+        assert self.read_peak(path) < 11_000_000
+
+    def test_gaussian_read_holds_no_line_list(self, tmp_path):
+        """A Gaussian 16x16x120 grid (1.4 MB of CSV) peaked at 8.8 MB when
+        read as a list of lines."""
+        rng = np.random.default_rng(5)
+        path = tmp_path / "fc.csv"
+        write_forecasts(ForecastSeries(times=tuple(range(120)), means=rng.normal(size=(120, 16, 16)),
+                                       stds=rng.uniform(0.5, 2.0, size=(120, 16, 16))), path)
+        assert self.read_peak(path) < 6_000_000
+
 
 EDGE_VALUES = [-0.0, 5e-324, 1e300, -1e300, 0.1, 1e-07]
 
@@ -427,6 +454,53 @@ def test_canonical_files_skip_the_line_by_line_reader(tmp_path):
             header, times, fields = gridio._read_grid(path, headers)
         assert (header, times) == expected[:2]
         assert [f.tobytes() for f in fields] == [f.tobytes() for f in expected[2]]
+
+
+def _numpy_reader_only():
+    """Fail any read that reaches the line-by-line reader."""
+    return mock.patch.object(gridio, "_parse_lines", side_effect=AssertionError("line-by-line path"))
+
+
+def _bits(result):
+    header, times, fields = result
+    return header, times, [(f.shape, f.tobytes()) for f in fields]
+
+
+ENSEMBLE_LINES = ["time,row,col,sample_idx,value", "0,0,0,0,1.5", "0,0,0,1,-2.0", "1,0,0,0,0.0", "1,0,0,1,7e-05"]
+
+
+@pytest.mark.parametrize("eol", ["\r\n", "\r"], ids=["CRLF", "CR"])
+def test_canonical_file_with_cr_line_ends_reads_like_its_lf_copy(tmp_path, eol):
+    lf, other = tmp_path / "lf.csv", tmp_path / "other.csv"
+    lf.write_bytes(("\n".join(ENSEMBLE_LINES) + "\n").encode())
+    other.write_bytes((eol.join(ENSEMBLE_LINES) + eol).encode())
+    headers = tuple(gridio._FORMATS)
+    with _numpy_reader_only():
+        assert _bits(gridio._read_grid(other, headers)) == _bits(gridio._read_grid(lf, headers))
+
+
+@pytest.mark.parametrize("text", [
+    "\n".join(ENSEMBLE_LINES[:3] + ["", ""] + ENSEMBLE_LINES[3:]) + "\n\n",
+    "\n".join(ENSEMBLE_LINES),
+], ids=["blank-lines", "no-final-newline"])
+def test_blank_lines_and_missing_final_newline_take_numpy_reader(tmp_path, text):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(text.encode())
+    headers = tuple(gridio._FORMATS)
+    with _line_by_line_only():
+        expected = _bits(gridio._read_grid(path, headers))
+    with _numpy_reader_only():
+        assert _bits(gridio._read_grid(path, headers)) == expected
+
+
+def test_duplicate_after_blank_line_names_file_lines_on_numpy_reader(tmp_path):
+    path = tmp_path / "grid.csv"
+    path.write_bytes(b"time,row,col,value\n0,0,0,1.0\n\n0,0,1,2.0\n\n0,0,0,3.0\n")
+    message = "line 6: duplicate entry for (t=0, row=0, col=0), first seen on line 2"
+    for reader in (_line_by_line_only, _numpy_reader_only):
+        with reader(), pytest.raises(ParseError) as info:
+            read_observations(path)
+        assert str(info.value) == message
 
 
 # one small valid file of each format, canonical as `_write_grid` writes it

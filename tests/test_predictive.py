@@ -62,6 +62,15 @@ def test_cdf_rejects_non_finite():
         cdf(Empirical([1.0, 2.0]), math.inf)
 
 
+def test_ensemble_members_must_fit_the_double_range():
+    wide = ForecastColumns(samples=[[-8e307, 8e307], [0.0, 1.0]])
+    assert wide.cdf([4e307, 0.5]).tolist() == [0.625, 0.5]
+    with pytest.raises(ValueError, match=r"^invalid input value: ensemble members from -1e\+308 to 1e\+308 "):
+        ForecastColumns(samples=[[0.0, 1.0], [1e308, -1e308]])
+    with pytest.raises(ValueError, match=r"^invalid input value: ensemble members from -1e\+308 to 1e\+308 "):
+        Empirical([1e308, 0.0, -1e308])
+
+
 def test_gaussian_quantile_median():
     assert quantile(Gaussian(10, 2), 0.5) == pytest.approx(10.0, abs=1e-12)
 
