@@ -150,12 +150,17 @@ def _metric_block(points, calibrator, levels, variant):
     """Coverage, CE, MAE and sharpness of the points (forecasts, observations, cell)."""
     forecasts, obs, cell = points
     curve = reliability_curve(forecasts, obs, levels, calibrator, cell)
-    return {
-        "ce": calibration_error(curve, variant),
-        "mae": mae_mid_quantile(forecasts, obs, calibrator, cell),
-        "sharpness": sharpness(forecasts, calibrator, cell),
-        "coverage": {_level_key(p): float(e) for p, e in zip(levels, curve.empirical)},
-    }
+    with np.errstate(over="ignore"):  # a metric that overflows is inf, refused below
+        block = {
+            "ce": calibration_error(curve, variant),
+            "mae": mae_mid_quantile(forecasts, obs, calibrator, cell),
+            "sharpness": sharpness(forecasts, calibrator, cell),
+            "coverage": {_level_key(p): float(e) for p, e in zip(levels, curve.empirical)},
+        }
+    for key, name in (("mae", "MAE"), ("sharpness", "sharpness")):
+        if not np.isfinite(block[key]):
+            raise ValueError(f"{name} overflows the double range")
+    return block
 
 
 def _delta_pct(before: float, after: float) -> float | None:

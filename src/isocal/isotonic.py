@@ -9,8 +9,8 @@ values at the distinct x positions and can be queried as a step function
 (right-continuous, the classic form) or with linear interpolation between
 knots (the default, which yields a continuous recalibration map). The
 generalized inverse resolves flat stretches to their left endpoint.
-Many maps share one knot table (`check_knots`), which `inverse_maps`
-searches as it is; an `IsotonicMap` is the table of one map.
+Many maps share one knot table (`check_knots`), which `evaluate_map` and
+`inverse_maps` read as it is; an `IsotonicMap` is the table of one map.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IsotonicMap", "check_knots", "fit_isotonic", "inverse_maps"]
+__all__ = ["IsotonicMap", "check_knots", "evaluate_map", "fit_isotonic", "inverse_maps"]
 
 INTERPOLATION_MODES = ("linear", "step")
 
@@ -79,21 +79,9 @@ class IsotonicMap:
         object.__setattr__(self, "values", vals)
 
     def evaluate(self, q):
-        """Value of the map at level ``q`` in [0, 1]. Scalar or array.
-
-        Outside the knot range the end values extend as constants, so the
-        result always stays inside [0, 1].
-        """
-        q_arr = np.asarray(q, dtype=np.float64)
-        if np.any(q_arr < 0.0) or np.any(q_arr > 1.0) or not np.all(np.isfinite(q_arr)):
-            raise ValueError(f"evaluation point outside [0, 1]: {q!r}")
-        if self.interpolation == "linear":
-            out = _interp(q_arr, self.breakpoints, self.values)
-        else:
-            idx = np.searchsorted(self.breakpoints, q_arr, side="right") - 1
-            out = self.values[np.clip(idx, 0, self.values.size - 1)]
-        out = np.clip(out, 0.0, 1.0)
-        return float(out) if np.isscalar(q) or q_arr.ndim == 0 else out
+        """Value of the map at level ``q`` in [0, 1] (`evaluate_map`). Scalar or array."""
+        out = evaluate_map(self, 0, q)
+        return float(out) if np.ndim(q) == 0 else out
 
     def inverse(self, p):
         """Generalized inverse: inf{q in [0, 1] : evaluate(q) >= p}.
@@ -146,22 +134,23 @@ def inverse_maps(table, rows, p) -> np.ndarray:
     return out
 
 
-def _interp(q: np.ndarray, bp: np.ndarray, vals: np.ndarray):
-    """``np.interp(q, bp, vals)``, except on segments so steep that its
-    slope overflows: there the fraction of the segment is interpolated
-    instead, which stays between the segment's end values."""
-    out = np.interp(q, bp, vals)
-    with np.errstate(over="ignore"):
-        steep = ~np.isfinite(np.diff(vals) / np.diff(bp))
-    if not steep.any():
-        return out
-    q1, out1 = q.reshape(-1), np.reshape(out, -1).copy()
-    j = np.clip(np.searchsorted(bp, q1, side="right") - 1, 0, bp.size - 2)
-    fix = steep[j] & (bp[j] < q1) & (q1 < bp[j + 1])
-    j = j[fix]
-    frac = (q1[fix] - bp[j]) / (bp[j + 1] - bp[j])
-    out1[fix] = np.minimum(vals[j] + frac * (vals[j + 1] - vals[j]), vals[j + 1])
-    return out1.reshape(q.shape)
+def evaluate_map(table, row: int, q) -> np.ndarray:
+    """`IsotonicMap.evaluate` of the map ``row`` of a knot table at every
+    level of ``q``, in q's shape. A step map takes the last knot's value at
+    or below q; a linear map takes v_lo + frac * (v_hi - v_lo), capped at
+    v_hi, on the segment that holds q. Beyond the end knots the end values hold."""
+    q_in = np.asarray(q, dtype=np.float64)
+    if np.any(q_in < 0.0) or np.any(q_in > 1.0) or not np.all(np.isfinite(q_in)):
+        raise ValueError(f"evaluation point outside [0, 1]: {q!r}")
+    knots = slice(table.starts[row], table.starts[row + 1] if row + 1 < len(table.starts) else None)
+    bp, vals = table.breakpoints[knots], table.values[knots]
+    j = np.searchsorted(bp, q_in, side="right") - 1  # last knot at or below q
+    if table.interpolation == "step" or bp.size == 1:
+        return vals[np.maximum(j, 0)]
+    k = np.clip(j, 0, bp.size - 2)  # the segment that holds q, or the nearest end segment
+    frac = (np.clip(q_in, bp[k], bp[k + 1]) - bp[k]) / (bp[k + 1] - bp[k])
+    linear = np.minimum(vals[k] + frac * (vals[k + 1] - vals[k]), vals[k + 1])
+    return np.where(j < bp.size - 1, linear, vals[-1])
 
 
 def _merge_ties(x: np.ndarray, y: np.ndarray, w: np.ndarray):

@@ -255,7 +255,8 @@ class ForecastColumns:
         """
         y = np.asarray(y, dtype=np.float64)
         if self.samples is None:
-            return std_normal_cdf((y - self.means) / self.stds)
+            with np.errstate(over="ignore"):  # a z of +-inf is a PIT of 1 or 0
+                return std_normal_cdf((y - self.means) / self.stds)
         xs = self.samples
         k = xs.shape[1]
         rows = np.arange(len(xs))

@@ -39,7 +39,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gridio import ForecastSeries, GridSeries
-from .isotonic import IsotonicMap, check_knots, inverse_maps
+from .isotonic import IsotonicMap, check_knots, evaluate_map, inverse_maps
 # perfbench/tracing.py counts calls made through this name of this module.
 from .isotonic import fit_isotonic  # noqa: F401
 from .predictive import ForecastColumns, PredictiveDist, cdf, columns_by_kind, quantile
@@ -274,7 +274,7 @@ def fit_calibrator(
 def calibrated_cdf(cf: CalibratedForecaster, d: PredictiveDist, y: float,
                    cell: tuple[int, int] | None = None) -> float:
     """Calibrated probability that the outcome does not exceed ``y``."""
-    return cf.map_for(cell).evaluate(cdf(d, y))
+    return float(evaluate_map(cf, int(cf._map_index(cell)), cdf(d, y)))
 
 
 def calibrated_quantile(cf: CalibratedForecaster, d: PredictiveDist, p: float,

@@ -11,10 +11,10 @@ emulators is ``true_recalibration_map``.
 Randomness comes from a counter-based generator so that output is a pure
 function of the seed: raw 64-bit words are splitmix64 finalizations of
 ``seed + (counter + 1) * 0x9E3779B97F4A7C15``, uniforms take the top 53
-bits via ``((word >> 11) + 0.5) * 2**-53`` (always strictly inside (0,1)),
-and normals apply the standard normal quantile to one uniform each
-(Wichura's AS241 in numpy, `predictive.std_normal_quantile`; the analytic
-map uses the same function and the erfc-based `std_normal_cdf`).
+bits via ``((word >> 11) + 0.5) * 2**-53`` capped below 1 (the top word
+would round to 1), and normals apply the standard normal quantile to one
+uniform each (Wichura's AS241 in numpy, `predictive.std_normal_quantile`;
+the analytic map uses the same function and the erfc-based `std_normal_cdf`).
 Sample ``i`` owns the counter block ``[i*b, (i+1)*b)`` with ``b = 3 + k``
 draws per sample (k = 0 in gaussian mode), so any chunking of the sample
 range reproduces sequential output exactly.
@@ -54,7 +54,7 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 def _uniform_open(seed: int, counters: np.ndarray) -> np.ndarray:
     """Uniforms in the open interval (0, 1), one per counter."""
     raw = _mix64((np.uint64(seed) + (counters + np.uint64(1)) * _GOLDEN) & _U64)
-    return ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53, np.nextafter(1.0, 0.0))
 
 
 def _normals(seed: int, counters: np.ndarray) -> np.ndarray:
@@ -97,6 +97,10 @@ class SynthConfig:
             raise ValueError(f"unknown mode: {self.mode!r}")
         if self.mode == "sample_set" and self.k < 2:
             raise ValueError("sample_set mode needs k >= 2 members")
+        if self.mode == "sample_set":  # members are fmean + fstd * z; |true mean| <= 5 in both layouts
+            z = -float(std_normal_quantile(2.0**-54))  # the largest |z| drawn: the smallest uniform's
+            if not math.isfinite(abs(self.bias) + MEAN_RANGE[1] + self.alpha * STD_RANGE[1] * z):
+                raise ValueError(f"alpha too large: {self.alpha} with bias {self.bias} (members would overflow)")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
 

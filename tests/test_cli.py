@@ -107,6 +107,16 @@ class TestSynthCommand:
         assert capsys.readouterr().err == \
             "isocal: usage error: alpha too large: 1e+308 (the reported std would overflow)\n"
 
+    def test_alpha_whose_members_overflow_is_usage_error(self, tmp_path):
+        fc, obs = tmp_path / "f.csv", tmp_path / "o.csv"
+        code, err = run_captured("synth", "--n", "100", "--alpha", "8e307", "--mode", "sample_set",
+                                 "--out-forecasts", fc, "--out-observations", obs)
+        assert (code, err) == (1, "isocal: usage error: alpha too large: 8e+307 with bias 0.0 "
+                                  "(members would overflow)\n")
+        assert not fc.exists() and not obs.exists()
+        assert run("synth", "--n", "100", "--alpha", "8e307",
+                   "--out-forecasts", fc, "--out-observations", obs) == 0  # Gaussian: std only
+
 
 @pytest.fixture(scope="module")
 def alpha2_files(tmp_path_factory):
@@ -160,6 +170,21 @@ class TestCalibrateCommand:
                    "--min-points-per-cell", value, "--out", tmp_path / "m.json") == 1
         assert capsys.readouterr().err == (
             f"isocal: usage error: --min-points-per-cell must be at least 2, got {value}\n")
+
+    def test_outcome_beyond_the_double_range_of_its_z_is_a_pit_of_0_or_1(self, tmp_path):
+        """(y - mean) / std overflows for these outcomes: the PIT is 1 and 0,
+        with no numpy warning."""
+        fc = tmp_path / "fc.csv"
+        fc.write_text("time,row,col,mean,std\n0,0,0,-1e308,1.0\n1,0,0,0.0,1.0\n2,0,0,1e308,1.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,row,col,value\n0,0,0,1e308\n1,0,0,0.0\n2,0,0,-1e308\n")
+        model, curve = tmp_path / "m.json", tmp_path / "c.csv"
+        files = ["--forecasts", fc, "--observations", obs]
+        assert run_captured("calibrate", *files, "--out", model) == (0, "")
+        assert load_model(model).breakpoints.tolist() == [0.0, 0.5, 1.0]
+        assert run_captured("reliability", *files, "--model", model, "--out", curve) == (0, "")
+        assert run_captured("reliability", *files, "--levels", "0.5", "--out", curve) == (0, "")
+        assert curve.read_text().splitlines()[1] == "0.5,0.666666667,1"
 
     @pytest.mark.parametrize("scope", ["pooled", "per-cell"])
     def test_summary_counts_missing_observations(self, tmp_path, capsys, scope):
@@ -287,14 +312,21 @@ class TestEvaluateCommand:
                                            "from -1e+308 to 1e+308 span more than the double range\n")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    def test_non_finite_metric_is_an_error_not_json_nan(self, tmp_path, capsys):
+    def test_non_finite_metric_is_an_error_not_json_nan(self, tmp_path):
         fc = tmp_path / "fc.csv"
-        fc.write_text("time,row,col,mean,std\n0,0,0,0.0,1e200\n1,0,0,0.0,1e200\n")
+        fc.write_text("time,row,col,mean,std\n0,0,0,0.0,1e200\n1,0,0,0.0,1e200\n2,0,0,0.0,1e200\n")
         obs = tmp_path / "obs.csv"
-        obs.write_text("time,row,col,value\n0,0,0,0.5\n1,0,0,1.0\n")
-        assert run("evaluate", "--forecasts", fc, "--observations", obs) == 3
-        assert "not JSON compliant" in capsys.readouterr().err
+        obs.write_text("time,row,col,value\n0,0,0,0.5\n1,0,0,1.0\n2,0,0,-1.0\n")
+        assert run_captured("evaluate", "--forecasts", fc, "--observations", obs) == \
+            (3, "isocal: error: sharpness overflows the double range\n")
+
+    def test_mae_that_overflows_is_one_line_error(self, tmp_path):
+        fc = tmp_path / "fc.csv"
+        fc.write_text("time,row,col,mean,std\n0,0,0,-1.7e308,1.0\n1,0,0,0.0,1.0\n2,0,0,0.0,1.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,row,col,value\n0,0,0,1.7e308\n1,0,0,0.5\n2,0,0,-0.5\n")
+        assert run_captured("evaluate", "--forecasts", fc, "--observations", obs) == \
+            (3, "isocal: error: MAE overflows the double range\n")
 
 
 class TestModelFileValidation:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isocal.isotonic import IsotonicMap, fit_isotonic
+from isocal.isotonic import IsotonicMap, evaluate_map, fit_isotonic
 
 import oracles
 
@@ -79,6 +79,30 @@ def test_evaluate_step_mode_right_continuous():
     assert m.evaluate(0.59) == 0.3
     assert m.evaluate(0.6) == 0.8
     assert m.evaluate(1.0) == 0.8
+
+
+def test_evaluate_steep_segment_by_fraction():
+    """A segment so narrow that its slope overflows takes the fraction of
+    the segment: v_lo + frac * (v_hi - v_lo), capped at v_hi."""
+    b = 2.2250738585e-313
+    m = fit_isotonic([0.0, b], [0.0, 0.5])
+    frac = 5e-324 / b
+    assert m.evaluate([5e-324, b / 2, b, 1.0]).tolist() == [frac * 0.5, 0.25, 0.5, 0.5]
+    assert 0.0 < frac * 0.5 < 1e-10
+
+
+def test_evaluate_holds_end_values_beyond_the_knots():
+    for mode in ("linear", "step"):
+        m = IsotonicMap([0.25, 0.5, 0.75], [0.1, 0.2, 0.3], mode)
+        assert m.evaluate([0.0, 0.25, 0.75, 1.0]).tolist() == [0.1, 0.1, 0.3, 0.3]
+
+
+def test_evaluate_is_the_one_map_call_of_evaluate_map():
+    m = IsotonicMap([0.1, 0.4, 0.8], [0.2, 0.3, 0.9])
+    qs = np.linspace(0.0, 1.0, 11)
+    assert m.evaluate(qs).tolist() == evaluate_map(m, 0, qs).tolist()
+    assert m.evaluate(0.6) == float(evaluate_map(m, 0, 0.6)) == pytest.approx(0.6)
+    assert np.shape(evaluate_map(m, 0, [[0.5]])) == (1, 1)
 
 
 def test_evaluate_rejects_out_of_range():
@@ -195,7 +219,7 @@ def test_upward_shift_never_lowers_fit(points):
        st.lists(unit_floats, min_size=1, max_size=10),
        st.sampled_from(["linear", "step"]))
 @settings(max_examples=100, deadline=None)
-# a segment so steep that np.interp's slope overflows
+# a segment so steep that its slope overflows
 @example(points=[(0.0, 0.0), (2.2250738585e-313, 0.5)], queries=[5e-324, 1.0], mode="linear")
 def test_evaluate_monotone_and_bounded(points, queries, mode):
     m = fit_isotonic([p[0] for p in points], [p[1] for p in points], interpolation=mode)

@@ -29,7 +29,7 @@ from isocal.recalibration import (
     model_to_json,
     save_model,
 )
-from isocal.synth import SynthConfig, generate, true_recalibration_map
+from isocal.synth import SynthConfig, generate, generate_gridded, true_recalibration_map
 
 import oracles
 
@@ -242,6 +242,24 @@ class TestCalibratedQueries:
         forecasts, obs = generate(SynthConfig(n=20000, alpha=2.0, seed=42))
         cf = fit_calibrator(forecasts, obs)
         assert calibrated_cdf(cf, Gaussian(0, 2), 0.8) == pytest.approx(oracles.PHI_AT_08, abs=0.03)
+
+    def test_calibrated_cdf_builds_no_map(self, monkeypatch):
+        """`calibrated_cdf` reads the model's knot table at the cell's map:
+        with `IsotonicMap` unbuildable it gives what that map evaluates to."""
+        fs, gs = generate_gridded(SynthConfig(alpha=2.0, seed=5, grid=(2, 3, 40)))
+        models = [fit_calibrator(fs, gs), fit_calibrator(fs, gs, scope="per_cell", interpolation="step")]
+        queries = [(cf, d, y, cell) for cf in models for cell in [(0, 0), (1, 2)]
+                   for d, y in [(Gaussian(0.0, 2.0), 0.8), (Empirical([-1.0, 0.0, 2.0]), -0.5)]]
+        expected = [cf.map_for(cell).evaluate(cdf(d, y)) for cf, d, y, cell in queries]
+        assert len(set(expected)) > 4
+
+        def refuse(self):
+            raise AssertionError("IsotonicMap built")
+
+        monkeypatch.setattr(IsotonicMap, "__post_init__", refuse)
+        assert [calibrated_cdf(cf, d, y, cell) for cf, d, y, cell in queries] == expected
+        with pytest.raises(AssertionError, match="IsotonicMap built"):
+            models[1].map_for((0, 0))
 
     def test_identity_median(self):
         q = calibrated_quantile(identity_calibrator(), Gaussian(10, 2), 0.5)

@@ -9,9 +9,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
+    """The script's stdout lines; it must exit 0, and a RuntimeWarning is an error."""
     env = {**os.environ, "PYTHONPATH": "src"}
-    proc = subprocess.run([sys.executable, f"scripts/{name}", *map(str, args)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=300)
+    argv = [sys.executable, "-W", "error::RuntimeWarning", f"scripts/{name}", *map(str, args)]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from isocal.metrics import reliability_curve
-from isocal.predictive import Empirical, Gaussian
-from isocal.synth import SynthConfig, generate, generate_gridded, true_recalibration_map
+from isocal.predictive import Empirical, Gaussian, std_normal_quantile
+from isocal.synth import MEAN_RANGE, STD_RANGE, SynthConfig, generate, generate_gridded, true_recalibration_map
 
 import oracles
 
@@ -28,6 +28,12 @@ class TestDeterminism:
         f2, _ = generate(cfg)
         for a, b in zip(f1, f2):
             np.testing.assert_array_equal(a.samples, b.samples)
+
+    def test_top_word_draws_a_finite_normal(self):
+        """At this seed sample 0's outcome draw is the all-ones word, whose
+        53-bit uniform rounds to 1: it is capped below 1, so z stays finite."""
+        _, obs = generate(SynthConfig(n=1, seed=17650617955581180289))
+        assert np.isfinite(obs[0]) and obs[0] > 5.0
 
     def test_seed_changes_output(self):
         _, o1 = generate(SynthConfig(n=50, seed=1))
@@ -149,6 +155,36 @@ class TestConfigValidation:
             SynthConfig(n=10, mode="bootstrap")
         with pytest.raises(ValueError):
             SynthConfig(grid=(0, 2, 2))
+
+    def test_ensemble_members_that_could_overflow_are_refused_at_the_boundary(self):
+        """The largest alpha accepted in sample_set mode is the largest whose
+        most extreme member, at the generator's most extreme normal, is finite."""
+        def accepted(alpha):
+            try:
+                SynthConfig(n=50, alpha=alpha, mode="sample_set")
+            except ValueError as exc:
+                assert "(members would overflow)" in str(exc)
+                return False
+            return True
+
+        def as_float(bits):
+            return float(np.int64(bits).view(np.float64))
+
+        lo, hi = np.array([1.0, 1e308]).view(np.int64).tolist()  # accepted, refused: bisect the bits
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if accepted(as_float(mid)) else (lo, mid)
+        alpha, above = as_float(lo), as_float(hi)
+        # The extreme uniforms: 0.5 * 2**-53 from the all-zeros word, and 1 - 2**-53.
+        z = std_normal_quantile(np.array([2.0**-54, np.nextafter(1.0, 0.0)]))
+        member = lambda a: MEAN_RANGE[1] + a * STD_RANGE[1] * float(max(-z[0], z[1]))
+        assert np.isfinite(member(alpha)) and not np.isfinite(member(above))
+        forecasts, _ = generate(SynthConfig(n=50, alpha=alpha, mode="sample_set"))
+        assert all(np.isfinite(f.samples).all() for f in forecasts)
+        SynthConfig(n=50, alpha=alpha / 2, mode="sample_set")
+        with pytest.raises(ValueError, match="alpha too large"):  # a bias takes the other half
+            SynthConfig(n=50, alpha=alpha / 2, bias=-1e308, mode="sample_set")
+        SynthConfig(n=50, alpha=above, mode="gaussian_params")  # only the std: it stays finite
 
     def test_grid_sets_n(self):
         assert SynthConfig(grid=(2, 3, 4)).n == 24
