@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -71,7 +72,7 @@ def _parse_levels(spec: str) -> np.ndarray:
     try:
         if ":" in spec:
             start, stop, step = (float(x) for x in spec.split(":"))
-            count = int(round((stop - start) / step)) + 1
+            count = math.floor((stop - start) / step + 1e-9) + 1  # no level past STOP
             levels = [round(start + i * step, 10) for i in range(min(count, MAX_LEVELS + 1))]
         else:
             levels = [round(float(x), 10) for x in spec.split(",")]
@@ -107,7 +108,7 @@ def _parse_cell(spec: str) -> tuple[int, int]:
 
 
 def _level_key(p: float) -> str:
-    return format(p, "g")
+    return repr(float(p))
 
 
 def _cell_path(out, cell) -> Path:

@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .predictive import Empirical, Gaussian, PredictiveDist, forecast_arrays
+from .predictive import Empirical, Gaussian, PredictiveDist, forecast_arrays, forecast_fields
 
 __all__ = [
     "ParseError",
@@ -151,15 +151,17 @@ class ForecastSeries:
     samples: np.ndarray | None = None
 
     def __post_init__(self):
-        arrays = forecast_arrays(self.means, self.stds, self.samples)
-        if self.samples is None:
-            if not (arrays["means"].ndim == 3 and arrays["means"].shape == arrays["stds"].shape):
-                raise ValueError("means and stds must both be T x H x W")
-        elif not (arrays["samples"].ndim == 4 and arrays["samples"].shape[3] >= 2):
+        arrays = forecast_arrays(3, self.means, self.stds, self.samples)
+        if self.samples is not None and arrays["samples"].shape[3] < 2:
             raise ValueError("samples must be T x H x W x k with k >= 2")
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "times", _time_axis(self.times, len(next(iter(arrays.values()))), "forecast"))
+        object.__setattr__(self, "times", _time_axis(self.times, len(self._grid), "forecast"))
+
+    @property
+    def _grid(self) -> np.ndarray:
+        """The first forecast array: its leading axes are T x H x W."""
+        return next(iter(forecast_fields(self).values()))
 
     @property
     def kind(self) -> str:
@@ -167,13 +169,11 @@ class ForecastSeries:
 
     @property
     def h(self) -> int:
-        arr = self.means if self.means is not None else self.samples
-        return arr.shape[1]
+        return self._grid.shape[1]
 
     @property
     def w(self) -> int:
-        arr = self.means if self.means is not None else self.samples
-        return arr.shape[2]
+        return self._grid.shape[2]
 
     def dist(self, t_index: int, row: int, col: int) -> PredictiveDist:
         """Predictive distribution at one grid point (time given by position)."""

@@ -5,8 +5,9 @@ values. `ForecastColumns` holds n forecasts of one kind as arrays (means
 and stds, or sorted samples n x k), and its kernels answer CDF, quantile
 and variance queries for all n at once. `Gaussian` and `Empirical` wrap a
 single forecast; `cdf`, `quantile` and `variance` on them run the same
-kernels on one row. Every operation is pure, so instances can be shared
-freely across threads.
+kernels on one row. Every container of forecasts checks its arrays
+through `forecast_arrays`. Every operation is pure, so instances can be
+shared freely across threads.
 
 The standard normal CDF (libm's erfc) and quantile (Wichura's AS241) are
 implemented here on numpy alone; every stage, `synth` included, calls
@@ -33,6 +34,7 @@ __all__ = [
     "from_samples",
     "columns_by_kind",
     "forecast_arrays",
+    "forecast_fields",
 ]
 
 # Levels per step of the normal quantile, which holds about 80 bytes of
@@ -135,11 +137,15 @@ def _as241(flat: np.ndarray) -> np.ndarray:
     return out
 
 
-def forecast_arrays(means=None, stds=None, samples=None) -> dict[str, np.ndarray]:
-    """Read-only float64 copies of one kind of forecast parameters, by name:
-    ``means`` and ``stds``, or ``samples``. Every value must be finite,
-    every std positive, and the members of each ensemble (the last axis of
-    ``samples``) no further apart than the largest double."""
+def forecast_arrays(axes: int, means=None, stds=None, samples=None) -> dict[str, np.ndarray]:
+    """Read-only float64 copies of one kind of forecast parameters, by name,
+    for forecasts indexed by ``axes`` leading axes: ``means`` and ``stds``
+    of one shape with that many axes, or ``samples`` with one more axis
+    holding each ensemble's members, at least one. Every value must be
+    finite, every std positive, and the members of each ensemble no further
+    apart than the largest double, as its CDF and quantiles divide by the
+    member gaps. This is the one check of forecast arrays; each container
+    adds only its own rules."""
     if (means is None) != (stds is None) or (means is None) == (samples is None):
         raise ValueError("provide either means and stds, or samples")
     given = {"samples": samples} if means is None else {"means": means, "stds": stds}
@@ -148,23 +154,30 @@ def forecast_arrays(means=None, stds=None, samples=None) -> dict[str, np.ndarray
         if not np.isfinite(arr).all():
             raise ValueError(f"invalid input value: non-finite forecast {name}")
         arr.flags.writeable = False
-    if means is not None and (arrays["stds"] <= 0.0).any():
-        raise ValueError(f"nonpositive std: {arrays['stds'][arrays['stds'] <= 0.0][0]}")
-    if means is None and arrays["samples"].ndim and arrays["samples"].size:
-        _check_member_spread(arrays["samples"])
+    if means is None:
+        members = arrays["samples"]
+        if not (members.ndim == axes + 1 and members.shape[-1]):
+            raise ValueError(f"samples need ndim {axes + 1}, the last axis holding at least one member")
+        lo, hi = members.min(axis=-1), members.max(axis=-1)
+        with np.errstate(over="ignore"):
+            wide = np.flatnonzero(np.isinf(hi - lo))
+        if wide.size:
+            raise ValueError(f"invalid input value: ensemble members from {lo.flat[wide[0]].item()!r} "
+                             f"to {hi.flat[wide[0]].item()!r} span more than the double range")
+        return arrays
+    stds = arrays["stds"]
+    if not (arrays["means"].ndim == axes and arrays["means"].shape == stds.shape):
+        raise ValueError(f"means and stds need one shape with ndim {axes}")
+    if (stds <= 0.0).any():
+        raise ValueError(f"nonpositive std: {stds[stds <= 0.0][0]}")
     return arrays
 
 
-def _check_member_spread(samples: np.ndarray) -> None:
-    """Refuse an ensemble (the last axis of finite ``samples``) whose
-    members are further apart than the largest double: its CDF and
-    quantile interpolation would divide by an infinite member gap."""
-    lo, hi = samples.min(axis=-1, keepdims=True), samples.max(axis=-1, keepdims=True)
-    with np.errstate(over="ignore"):
-        wide = np.flatnonzero(np.isinf(hi - lo))
-    if wide.size:
-        raise ValueError(f"invalid input value: ensemble members from {lo.flat[wide[0]].item()!r} "
-                         f"to {hi.flat[wide[0]].item()!r} span more than the double range")
+def forecast_fields(forecasts) -> dict[str, np.ndarray]:
+    """The forecast arrays a container holds, by name: ``means`` and
+    ``stds``, or ``samples``."""
+    return {name: getattr(forecasts, name) for name in ("means", "stds", "samples")
+            if getattr(forecasts, name) is not None}
 
 
 @dataclass(frozen=True)
@@ -175,10 +188,8 @@ class Gaussian:
     std: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mean) and math.isfinite(self.std)):
-            raise ValueError("invalid input value: non-finite Gaussian parameter")
-        if self.std <= 0.0:
-            raise ValueError(f"nonpositive std: {self.std}")
+        if not (math.isfinite(self.mean) and math.isfinite(self.std) and self.std > 0.0):
+            forecast_arrays(0, self.mean, self.std)  # raises the broken rule's message
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,13 +206,7 @@ class Empirical:
     samples: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.samples, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("invalid input value: empirical samples must be a nonempty 1-d sequence")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("invalid input value: non-finite sample")
-        _check_member_spread(arr)
-        arr = np.sort(arr)
+        arr = np.sort(forecast_arrays(0, samples=self.samples)["samples"])
         arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
@@ -223,26 +228,21 @@ class ForecastColumns:
     samples: np.ndarray | None = None
 
     def __post_init__(self):
-        samples = None if self.samples is None else np.sort(self.samples, axis=-1)
-        arrays = forecast_arrays(self.means, self.stds, samples)
-        if samples is None:
-            if not (arrays["means"].ndim == 1 and arrays["means"].shape == arrays["stds"].shape):
-                raise ValueError("means and stds must be 1-d arrays of equal length")
-        elif not (samples.ndim == 2 and samples.shape[1] > 0):
-            raise ValueError("samples must be an n x k array with k >= 1")
+        arrays = forecast_arrays(1, self.means, self.stds, self.samples)
+        if self.samples is not None:
+            arrays["samples"] = np.sort(arrays["samples"], axis=-1)
+            arrays["samples"].flags.writeable = False
         for name, arr in arrays.items():
             object.__setattr__(self, name, arr)
 
     def __len__(self) -> int:
-        return len(self.means if self.samples is None else self.samples)
+        return len(next(iter(forecast_fields(self).values())))
 
     def __getitem__(self, rows) -> ForecastColumns:
         """The forecasts at ``rows``, a slice or an array of row indices."""
         if not isinstance(rows, slice) and np.ndim(rows) == 0:
             raise TypeError("rows must be a slice or an array of row indices")
-        if self.samples is None:
-            return _checked_columns(means=self.means[rows], stds=self.stds[rows])
-        return _checked_columns(samples=self.samples[rows])
+        return _checked_columns(**{name: arr[rows] for name, arr in forecast_fields(self).items()})
 
     def cdf(self, y, strict: bool = False) -> np.ndarray:
         """Each forecast's CDF at its own outcome: ``y`` has one entry per row.
@@ -423,14 +423,10 @@ def from_samples(samples, fit_gaussian: bool = False) -> PredictiveDist:
     deviation with the n-1 divisor); constant samples are rejected in that
     case because the spread would degenerate to zero.
     """
-    arr = np.asarray(samples, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
+    ensemble = Empirical(samples)
+    if ensemble.samples.size < 2:
         raise ValueError("invalid input value: need at least 2 samples")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("invalid input value: non-finite sample")
     if not fit_gaussian:
-        return Empirical(arr)
-    std = float(np.std(arr, ddof=1))
-    if std <= 0.0:
-        raise ValueError("nonpositive std: samples are constant")
-    return Gaussian(float(np.mean(arr)), std)
+        return ensemble
+    arr = np.asarray(samples, dtype=np.float64)
+    return Gaussian(float(np.mean(arr)), float(np.std(arr, ddof=1)))

@@ -42,7 +42,7 @@ from .gridio import ForecastSeries, GridSeries
 from .isotonic import IsotonicMap, check_knots, evaluate_map, inverse_maps
 # perfbench/tracing.py counts calls made through this name of this module.
 from .isotonic import fit_isotonic  # noqa: F401
-from .predictive import ForecastColumns, PredictiveDist, cdf, columns_by_kind, quantile
+from .predictive import ForecastColumns, PredictiveDist, cdf, columns_by_kind, forecast_fields, quantile
 
 __all__ = [
     "CalibrationPair",
@@ -213,11 +213,8 @@ def grid_points(
     if forecasts.times != observations.times:
         raise ValueError("forecast and observation time axes differ")
     valid = np.moveaxis(observations.mask, 0, -1)  # H x W x T, cell-major
-    if forecasts.kind == "gaussian":
-        cols = ForecastColumns(means=np.moveaxis(forecasts.means, 0, -1)[valid],
-                               stds=np.moveaxis(forecasts.stds, 0, -1)[valid])
-    else:
-        cols = ForecastColumns(samples=np.moveaxis(forecasts.samples, 0, 2)[valid])
+    cols = ForecastColumns(**{name: np.moveaxis(arr, 0, 2)[valid]  # members stay last
+                              for name, arr in forecast_fields(forecasts).items()})
     rows, col_index, _ = np.nonzero(valid)
     return cols, np.moveaxis(observations.values, 0, -1)[valid], (rows, col_index)
 
@@ -346,7 +343,7 @@ def load_model(path) -> CalibratedForecaster:
             raise ValueError(f"malformed model file: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"malformed model file: expected a JSON object, got {type(doc).__name__}")
-    if doc.get("version") != MODEL_VERSION:
+    if type(doc.get("version")) is not int or doc["version"] != MODEL_VERSION:
         raise ValueError(f"unsupported model version: {doc.get('version')!r}")
     for key in ("scope", "h", "w", "interpolation", "maps"):
         if key not in doc:

@@ -280,6 +280,18 @@ class TestEvaluateCommand:
         report = json.loads(capsys.readouterr().out)
         assert list(report["uncalibrated"]["coverage"]) == ["0.25", "0.5", "0.75"]
 
+    @pytest.mark.parametrize("spec, levels", [
+        ("0.1234567,0.1234568,0.5", ["0.1234567", "0.1234568", "0.5"]),  # alike to 6 digits
+        ("0.1:0.65:0.2", ["0.1", "0.3", "0.5"]),  # a range stops at STOP
+        ("0.1:0.87:0.3", ["0.1", "0.4", "0.7"]),
+        ("0.05:0.95:0.05", [repr(round(0.05 * i, 10)) for i in range(1, 20)]),
+    ])
+    def test_level_spec_gives_one_report_key_per_level(self, alpha2_files, capsys, spec, levels):
+        assert run("evaluate", "--forecasts", alpha2_files / "test_fc.csv",
+                   "--observations", alpha2_files / "test_obs.csv", "--levels", spec) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["levels"] == list(report["uncalibrated"]["coverage"]) == levels
+
     def test_bad_levels_is_usage_error(self, alpha2_files):
         assert run("evaluate", "--forecasts", alpha2_files / "test_fc.csv",
                    "--observations", alpha2_files / "test_obs.csv",
@@ -296,6 +308,27 @@ class TestEvaluateCommand:
                    "--observations", alpha2_files / "test_obs.csv",
                    "--levels", "0:1:1e-12") == 1
         assert "more than 1000 levels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["evaluate", "reliability"])
+    def test_no_valid_observation_is_one_line_error(self, tmp_path, capsys, command):
+        fc = tmp_path / "fc.csv"
+        fc.write_text("time,row,col,mean,std\n0,0,0,0.0,1.0\n1,0,0,0.0,1.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,row,col,value\n0,0,0,NaN\n1,0,0,NaN\n")
+        out = tmp_path / "out"
+        assert run(command, "--forecasts", fc, "--observations", obs, "--out", out) == 3
+        assert capsys.readouterr().err == "isocal: error: no valid forecast/observation pairs\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("which", ["forecasts", "observations"])
+    def test_header_without_line_break_is_parse_error(self, alpha2_files, tmp_path, capsys, which):
+        files = {"forecasts": alpha2_files / "test_fc.csv", "observations": alpha2_files / "test_obs.csv"}
+        files[which] = tmp_path / "header.csv"
+        header = "time,row,col,mean,std" if which == "forecasts" else "time,row,col,value"
+        files[which].write_bytes(header.encode())
+        assert run("evaluate", "--forecasts", files["forecasts"],
+                   "--observations", files["observations"]) == 2
+        assert capsys.readouterr().err == "isocal: parse error: line 2: no data records\n"
 
     @pytest.mark.parametrize("command", ["calibrate", "evaluate", "reliability"])
     def test_ensemble_wider_than_the_double_range_is_one_line_error(self, tmp_path, capsys, command):

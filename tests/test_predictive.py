@@ -11,8 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isocal
-from isocal.predictive import (Empirical, ForecastColumns, Gaussian, cdf, from_samples, quantile,
-                               std_normal_cdf, std_normal_quantile, variance)
+from isocal.gridio import ForecastSeries
+from isocal.predictive import (Empirical, ForecastColumns, Gaussian, cdf, forecast_fields, from_samples,
+                               quantile, std_normal_cdf, std_normal_quantile, variance)
 
 import oracles
 
@@ -69,6 +70,105 @@ def test_ensemble_members_must_fit_the_double_range():
         ForecastColumns(samples=[[0.0, 1.0], [1e308, -1e308]])
     with pytest.raises(ValueError, match=r"^invalid input value: ensemble members from -1e\+308 to 1e\+308 "):
         Empirical([1e308, 0.0, -1e308])
+
+
+# Every container of forecasts, by name: the number of axes that index its
+# forecasts, and how it is built from forecast arrays of that many axes.
+CONTAINERS = {
+    "Gaussian": (0, lambda means, stds: Gaussian(means.item(), stds.item())),
+    "Empirical": (0, lambda samples: Empirical(samples)),
+    "ForecastColumns": (1, ForecastColumns),
+    "ForecastSeries": (3, lambda **arrays: ForecastSeries(times=(0,), **arrays)),
+}
+
+
+def _gaussian(lead, mean=0.0, std=1.0):
+    return {"means": np.full(lead, mean), "stds": np.full(lead, std)}
+
+
+def _ensemble(lead, members=(0.0, 1.0)):
+    return {"samples": np.broadcast_to(np.array(members, dtype=np.float64), lead + (len(members),))}
+
+
+# Each rule of a forecast array: the bad arrays for a container's leading
+# shape (every axis of length 1) and the one message of the rule, with the
+# container's count of forecast axes in place of {axes}, and that count
+# plus the member axis in place of {members}.
+BAD_FORECASTS = {
+    "nan mean": (lambda lead: _gaussian(lead, mean=math.nan),
+                 "invalid input value: non-finite forecast means"),
+    "inf mean": (lambda lead: _gaussian(lead, mean=-math.inf),
+                 "invalid input value: non-finite forecast means"),
+    "inf std": (lambda lead: _gaussian(lead, std=math.inf),
+                "invalid input value: non-finite forecast stds"),
+    "nan std": (lambda lead: _gaussian(lead, std=math.nan),
+                "invalid input value: non-finite forecast stds"),
+    "zero std": (lambda lead: _gaussian(lead, std=0.0), "nonpositive std: 0.0"),
+    "negative std": (lambda lead: _gaussian(lead, std=-1.0), "nonpositive std: -1.0"),
+    "nan member": (lambda lead: _ensemble(lead, (0.0, math.nan)),
+                   "invalid input value: non-finite forecast samples"),
+    "inf member": (lambda lead: _ensemble(lead, (math.inf, 0.0)),
+                   "invalid input value: non-finite forecast samples"),
+    "means with an extra axis": (lambda lead: _gaussian(lead + (1,)),
+                                 "means and stds need one shape with ndim {axes}"),
+    "means and stds of two shapes": (
+        lambda lead: {"means": np.zeros((2,) + lead[1:]), "stds": np.ones(lead)},
+        "means and stds need one shape with ndim {axes}"),
+    "samples without a member axis": (
+        lambda lead: {"samples": np.zeros(lead)},
+        "samples need ndim {members}, the last axis holding at least one member"),
+    "zero members": (
+        lambda lead: _ensemble(lead, ()),
+        "samples need ndim {members}, the last axis holding at least one member"),
+    "members wider than the double range": (lambda lead: _ensemble(lead, (-1e308, 1e308)),
+                                            "invalid input value: ensemble members from -1e+308 "
+                                            "to 1e+308 span more than the double range"),
+    "neither kind": (lambda lead: {}, "provide either means and stds, or samples"),
+    "both kinds": (lambda lead: {**_gaussian(lead), **_ensemble(lead)},
+                   "provide either means and stds, or samples"),
+}
+
+
+def _takes(container, arrays) -> bool:
+    """Whether ``container`` takes arrays of these names: scalar types take
+    exactly their own kind, the array containers any set of names."""
+    if container == "Gaussian":
+        return set(arrays) == {"means", "stds"} and arrays["means"].ndim == 0
+    return container != "Empirical" or set(arrays) == {"samples"}
+
+
+@pytest.mark.parametrize("rule", BAD_FORECASTS)
+def test_every_container_refuses_a_bad_forecast_with_the_rule_message(rule):
+    bad, message = BAD_FORECASTS[rule]
+    refused = {}
+    for container, (axes, make) in CONTAINERS.items():
+        arrays = bad((1,) * axes)
+        if not _takes(container, arrays):
+            continue
+        with pytest.raises(ValueError) as info:
+            make(**arrays)
+        refused[container] = str(info.value)
+        assert refused[container] == message.format(axes=axes, members=axes + 1), container
+    assert len(refused) >= 2
+
+
+@pytest.mark.parametrize("container", ["ForecastColumns", "ForecastSeries"])
+@pytest.mark.parametrize("kind", [_gaussian, _ensemble])
+def test_array_containers_hold_the_checked_arrays_read_only(container, kind):
+    axes, make = CONTAINERS[container]
+    arrays = kind((1,) * axes)
+    fields = forecast_fields(make(**arrays))
+    assert list(fields) == list(arrays)
+    for name, arr in fields.items():
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        assert np.array_equal(arr, arrays[name])
+
+
+def test_series_and_columns_keep_their_own_rules():
+    with pytest.raises(ValueError, match=r"^samples must be T x H x W x k with k >= 2$"):
+        ForecastSeries(times=(0,), samples=np.zeros((1, 1, 1, 1)))
+    assert ForecastColumns(samples=[[3.0, 1.0, 2.0]]).samples.tolist() == [[1.0, 2.0, 3.0]]
+    assert len(ForecastColumns(samples=np.zeros((0, 2)))) == 0
 
 
 def test_gaussian_quantile_median():

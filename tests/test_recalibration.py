@@ -503,6 +503,14 @@ class TestModelFile:
         with pytest.raises(ValueError, match="version"):
             load_model(path)
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_version_must_be_an_integer(self, tmp_path, version):
+        cf = fit_calibrator([Gaussian(0.0, 1.0)] * 2, [0.0, 1.0])
+        path = tmp_path / "model.json"
+        path.write_text(model_to_json(cf).replace('"version": 1', f'"version": {version}'))
+        with pytest.raises(ValueError, match=f"^unsupported model version: {json.loads(version)!r}$"):
+            load_model(path)
+
     def test_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{nope")

@@ -1,4 +1,5 @@
-"""Smoke tests: the experiment scripts run end to end at a small size."""
+"""Smoke tests: the experiment scripts and `python -m isocal` run end to end
+at a small size."""
 
 import os
 import subprocess
@@ -8,11 +9,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
-    """The script's stdout lines; it must exit 0, and a RuntimeWarning is an error."""
+def run_python(*args):
+    """A child ``python *args`` from the repository root, a RuntimeWarning an error."""
     env = {**os.environ, "PYTHONPATH": "src"}
-    argv = [sys.executable, "-W", "error::RuntimeWarning", f"scripts/{name}", *map(str, args)]
-    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    argv = [sys.executable, "-W", "error::RuntimeWarning", *map(str, args)]
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+
+
+def run_script(name, *args):
+    """The script's stdout lines; it must exit 0."""
+    proc = run_python(f"scripts/{name}", *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -37,3 +43,16 @@ def test_make_reliability_curves(tmp_path):
             curve = (tmp_path / f"{tag}_{kind}.csv").read_text().splitlines()
             assert curve[0] == "level,empirical,weight"
             assert len(curve) == 40
+
+
+def test_python_dash_m_isocal(tmp_path):
+    fc, obs = tmp_path / "fc.csv", tmp_path / "obs.csv"
+    proc = run_python("-m", "isocal", "synth", "--n", 20, "--seed", 3, "--out-forecasts", fc, "--out-observations", obs)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines() == [f"forecasts: {fc} (gaussian, 20 points)", f"observations: {obs}"]
+    assert fc.read_text().startswith("time,row,col,mean,std\n0,0,0,")
+    assert obs.read_text().startswith("time,row,col,value\n0,0,0,")
+    missing = tmp_path / "missing.csv"
+    proc = run_python("-m", "isocal", "evaluate", "--forecasts", missing, "--observations", obs)
+    assert proc.returncode == 2  # io error, through sys.exit
+    assert proc.stderr.startswith("isocal: io error: ") and proc.stderr.count("\n") == 1
