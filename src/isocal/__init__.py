@@ -19,7 +19,6 @@ from .recalibration import (
     calibrated_cdf,
     calibrated_quantile,
     central_interval,
-    empirical_cdf_level,
     fit_calibrator,
     load_model,
     save_model,
@@ -47,7 +46,6 @@ __all__ = [
     "cdf",
     "central_interval",
     "coverage",
-    "empirical_cdf_level",
     "fit_calibrator",
     "fit_isotonic",
     "from_samples",

@@ -27,6 +27,7 @@ from .isotonic import INTERPOLATION_MODES
 from .metrics import (
     CE_VARIANTS,
     calibration_error,
+    check_levels,
     mae_mid_quantile,
     reliability_curve,
     sharpness,
@@ -80,11 +81,11 @@ def _parse_levels(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"bad levels spec: {spec!r}") from None
     if len(levels) > MAX_LEVELS:
         raise argparse.ArgumentTypeError(f"more than {MAX_LEVELS} levels: {spec!r}")
-    arr = np.asarray(levels, dtype=np.float64)
-    if arr.size == 0 or not np.all((arr > 0.0) & (arr < 1.0)) or np.any(np.diff(arr) <= 0.0):
+    try:
+        return check_levels(levels)
+    except ValueError:
         raise argparse.ArgumentTypeError(
-            f"levels must be strictly increasing inside (0, 1): {spec!r}")
-    return arr
+            f"levels must be strictly increasing inside (0, 1): {spec!r}") from None
 
 
 def _parse_grid(spec: str) -> tuple[int, int, int]:
@@ -151,7 +152,7 @@ def _metric_block(points, calibrator, levels, variant):
     """Coverage, CE, MAE and sharpness of the points (forecasts, observations, cell)."""
     forecasts, obs, cell = points
     curve = reliability_curve(forecasts, obs, levels, calibrator, cell)
-    with np.errstate(over="ignore"):  # a metric that overflows is inf, refused below
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN, refused below
         block = {
             "ce": calibration_error(curve, variant),
             "mae": mae_mid_quantile(forecasts, obs, calibrator, cell),

@@ -9,9 +9,10 @@ pair of per-forecast arrays of rows and columns (as `grid_points` returns
 them). `CalibratedForecaster.raw_levels` turns the nominal levels into
 one table of raw levels, maps read x levels, and each forecast reads its
 map's row of it; a pooled map is the one-row table every forecast
-shares. Coverage compares each outcome's P(X < y) with its raw level and
-forms no quantile. Reductions run in fixed input order so repeated runs
-are bit-identical.
+shares. Outcomes pass `paired_outcomes` and level grids `check_levels`.
+Coverage compares each outcome's P(X < y) with its raw level and forms
+no quantile. Reductions run in fixed input order so repeated runs are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -21,13 +22,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .predictive import ForecastColumns, PredictiveDist, columns_by_kind
+from .predictive import ForecastColumns, PredictiveDist, paired_outcomes, per_kind
 # perfbench/tracing.py counts calls made through these names of this module.
 from .predictive import quantile, variance  # noqa: F401
 from .recalibration import IDENTITY, CalibratedForecaster
 
 __all__ = [
     "ReliabilityCurve",
+    "check_levels",
     "coverage",
     "interval_coverage",
     "reliability_curve",
@@ -44,30 +46,40 @@ _SHARPNESS_LEVELS = (np.arange(SHARPNESS_GRID) + 0.5) / SHARPNESS_GRID
 MAX_SATURATED_FRACTION = 0.05
 
 
+def check_levels(levels) -> np.ndarray:
+    """``levels`` as a read-only float64 array: nonempty, 1-d, strictly
+    increasing and strictly inside (0, 1). This is the one check of a
+    level grid."""
+    arr = np.array(levels, dtype=np.float64)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError("levels must be a nonempty 1-d sequence")
+    if not np.all((arr > 0.0) & (arr < 1.0)):
+        raise ValueError("levels must lie strictly inside (0, 1)")
+    if np.any(np.diff(arr) <= 0.0):
+        raise ValueError("levels must be strictly increasing")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class ReliabilityCurve:
-    """Nominal confidence levels with their observed frequencies."""
+    """Nominal confidence levels (a `check_levels` grid) with their observed
+    frequencies, each in [0, 1], and finite nonnegative weights."""
 
     levels: np.ndarray
     empirical: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        levels = np.asarray(self.levels, dtype=np.float64)
-        empirical = np.asarray(self.empirical, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
-        if levels.ndim != 1 or levels.size == 0:
-            raise ValueError("levels must be a nonempty 1-d sequence")
+        levels = check_levels(self.levels)
+        empirical, weights = (np.array(a, dtype=np.float64) for a in (self.empirical, self.weights))
         if empirical.shape != levels.shape or weights.shape != levels.shape:
             raise ValueError("levels, empirical and weights must have equal length")
-        if not np.all((levels >= 0.0) & (levels <= 1.0)):
-            raise ValueError("levels must lie in [0, 1]")
-        if levels.size > 1 and np.any(np.diff(levels) <= 0.0):
-            raise ValueError("levels must be strictly increasing")
-        if np.any(weights < 0.0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all((empirical >= 0.0) & (empirical <= 1.0)):
+            raise ValueError("empirical frequencies must lie in [0, 1]")
+        if not np.all(np.isfinite(weights) & (weights >= 0.0)):
+            raise ValueError("weights must be finite and nonnegative")
         for name, arr in (("levels", levels), ("empirical", empirical), ("weights", weights)):
-            arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
@@ -107,28 +119,16 @@ def reliability_curve(
     each map counts its points' sorted strict CDF values at or below its
     raw levels; no quantile is formed, and in-sample coverage is exact.
     """
-    levels_arr = np.asarray(levels, dtype=np.float64)
-    if levels_arr.ndim != 1 or levels_arr.size == 0:
-        raise ValueError("levels must be a nonempty 1-d sequence")
-    if not np.all((levels_arr > 0.0) & (levels_arr < 1.0)):
-        raise ValueError("levels must lie strictly inside (0, 1)")
-    if levels_arr.size > 1 and np.any(np.diff(levels_arr) <= 0.0):
-        raise ValueError("levels must be strictly increasing")
-    obs = np.asarray(observations, dtype=np.float64)
-    if len(forecasts) == 0:
-        raise ValueError("coverage of an empty set is undefined")
-    if len(forecasts) != obs.size:
-        raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
-    raw, index, _, _ = (calibrator or IDENTITY).raw_levels(levels_arr, cell, obs.size)
-    below = np.empty(obs.size)
-    for rows, cols in columns_by_kind(forecasts):
-        below[rows] = cols.cdf(obs[rows], strict=True)
+    levels = check_levels(levels)
+    obs = paired_outcomes(forecasts, observations, missing_ok=True)
+    raw, index, _, _ = (calibrator or IDENTITY).raw_levels(levels, cell, obs.size)
+    below = per_kind(forecasts, lambda cols, y: cols.cdf(y, strict=True), obs)
     below[np.isnan(obs)] = 1.0  # above every raw level: a missing outcome is never covered
     keys = np.sort(index + 1j * below)  # by map, then by P(X < y)
     maps = np.arange(len(raw))
     covered = (np.searchsorted(keys, maps[:, None] + 1j * raw, side="right")
                - np.searchsorted(keys.real, maps)[:, None])
-    return ReliabilityCurve(levels_arr, covered.sum(axis=0) / obs.size, np.ones_like(levels_arr))
+    return ReliabilityCurve(levels, covered.sum(axis=0) / obs.size, np.ones_like(levels))
 
 
 def calibration_error(curve: ReliabilityCurve, variant: str = "absolute") -> float:
@@ -171,9 +171,7 @@ def sharpness(
         where = (" in cell ({}, {})".format(*divmod(int(degenerate[0]), calibrator.w))
                  if calibrator.scope == "per_cell" else "")
         raise ValueError(f"calibrator too degenerate for sharpness{where}")
-    spread = np.empty(len(forecasts))
-    for rows, cols in columns_by_kind(forecasts):
-        spread[rows] = cols.level_variance(raw, index[rows])
+    spread = per_kind(forecasts, lambda cols, rows: cols.level_variance(raw, rows), index)
     return float(np.mean(spread))
 
 
@@ -184,13 +182,9 @@ def mae_mid_quantile(
     cell=None,
 ) -> float:
     """Mean absolute error of the (calibrated) median forecast."""
-    obs = np.asarray(observations, dtype=np.float64)
-    if obs.size == 0 or len(forecasts) != obs.size:
-        raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
+    obs = paired_outcomes(forecasts, observations, missing_ok=False)
     raw, index, _, _ = (calibrator or IDENTITY).raw_levels([0.5], cell, obs.size)
-    medians = np.empty(obs.size)
-    for rows, cols in columns_by_kind(forecasts):
-        medians[rows] = cols.quantiles(raw, index[rows])[:, 0]
+    medians = per_kind(forecasts, lambda cols, rows: cols.quantiles(raw, rows)[:, 0], index)
     return float(np.mean(np.abs(obs - medians)))
 
 

@@ -32,7 +32,8 @@ __all__ = [
     "quantile",
     "variance",
     "from_samples",
-    "columns_by_kind",
+    "per_kind",
+    "paired_outcomes",
     "forecast_arrays",
     "forecast_fields",
 ]
@@ -370,49 +371,63 @@ def _checked_columns(**arrays) -> ForecastColumns:
     return cols
 
 
-def columns_by_kind(forecasts) -> list[tuple[slice | np.ndarray, ForecastColumns]]:
-    """Forecasts as (positions, columns) pairs, one pair per kind.
+def per_kind(forecasts, kernel, *per_forecast) -> np.ndarray:
+    """``kernel(columns, *arrays)`` of at least one forecast, one value (or
+    row) per forecast in input order. ``per_forecast`` holds arrays with
+    one entry per forecast; each kernel call gets the entries of its rows.
 
-    A `ForecastColumns`, or a sequence of one kind, is a single pair covering
-    every position. A mixed sequence splits into its Gaussians and its
-    ensembles of each size, with the positions each pair came from.
+    A `ForecastColumns` is one kernel call. A sequence of distributions is
+    one call per kind: its Gaussians, and its ensembles of each size.
     """
     if isinstance(forecasts, ForecastColumns):
-        return [(slice(None), forecasts)]
+        return kernel(forecasts, *per_forecast)
     groups: dict[int, list[int]] = {}
     for i, d in enumerate(forecasts):
         groups.setdefault(0 if isinstance(d, Gaussian) else d.samples.size, []).append(i)
-    pairs = []
+    parts = []
     for size, positions in groups.items():
         dists = [forecasts[i] for i in positions]
         cols = (_checked_columns(samples=np.stack([d.samples for d in dists])) if size else
                 _checked_columns(means=np.array([d.mean for d in dists]),
                                  stds=np.array([d.std for d in dists])))
-        pairs.append((slice(None) if len(groups) == 1 else np.asarray(positions), cols))
-    return pairs
+        parts.append(kernel(cols, *(arr[positions] for arr in per_forecast)))
+    return np.concatenate(parts)[np.argsort(np.concatenate(list(groups.values())))]
 
 
-def _columns(d: PredictiveDist) -> ForecastColumns:
-    return columns_by_kind([d])[0][1]
+def paired_outcomes(forecasts, observations, missing_ok: bool) -> np.ndarray:
+    """The outcomes of ``forecasts`` as a 1-d float64 array: one per
+    forecast, at least one, none infinite. NaN is a missing outcome and
+    passes only with ``missing_ok``. This is the one check of outcomes."""
+    obs = np.asarray(observations, dtype=np.float64)
+    if obs.ndim != 1:
+        raise ValueError(f"observations need ndim 1, got {obs.ndim}")
+    if obs.size != len(forecasts):
+        raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
+    if obs.size == 0:
+        raise ValueError("no forecast/observation pairs")
+    if np.isinf(obs).any():
+        raise ValueError("invalid input value: infinite observation")
+    if not missing_ok and np.isnan(obs).any():
+        raise ValueError("invalid input value: NaN observation")
+    return obs
 
 
 def cdf(d: PredictiveDist, y: float) -> float:
     """Probability the outcome does not exceed ``y`` under forecast ``d``."""
-    if not math.isfinite(y):
-        raise ValueError("invalid input value: y must be finite")
-    return float(_columns(d).cdf([y])[0])
+    y = paired_outcomes([d], [y], missing_ok=False)
+    return float(per_kind([d], ForecastColumns.cdf, y)[0])
 
 
 def quantile(d: PredictiveDist, p: float) -> float:
     """Smallest value whose forecast CDF reaches level ``p``, 0 < p < 1."""
     if not (0.0 < p < 1.0):
         raise ValueError(f"quantile level out of range: {p}")
-    return float(_columns(d).quantiles([p])[0, 0])
+    return float(per_kind([d], lambda cols: cols.quantiles([p]))[0, 0])
 
 
 def variance(d: PredictiveDist) -> float:
     """Variance of the forecast: std**2, or population variance of samples."""
-    return float(_columns(d).variance()[0])
+    return float(per_kind([d], ForecastColumns.variance)[0])
 
 
 def from_samples(samples, fit_gaussian: bool = False) -> PredictiveDist:

@@ -42,13 +42,13 @@ from .gridio import ForecastSeries, GridSeries
 from .isotonic import IsotonicMap, check_knots, evaluate_map, inverse_maps
 # perfbench/tracing.py counts calls made through this name of this module.
 from .isotonic import fit_isotonic  # noqa: F401
-from .predictive import ForecastColumns, PredictiveDist, cdf, columns_by_kind, forecast_fields, quantile
+from .predictive import (ForecastColumns, PredictiveDist, cdf, forecast_fields, paired_outcomes, per_kind,
+                         quantile)
 
 __all__ = [
     "CalibrationPair",
     "CalibratedForecaster",
     "CalibratedQuantile",
-    "empirical_cdf_level",
     "build_calibration_dataset",
     "grid_points",
     "fit_calibrator",
@@ -80,31 +80,12 @@ class CalibratedQuantile(NamedTuple):
     saturated: bool
 
 
-def empirical_cdf_level(cs: Sequence[float], p: float) -> float:
-    """Fraction of CDF values strictly below level ``p``."""
-    arr = np.asarray(cs, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("empirical CDF level needs at least one value")
-    if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("calibration point out of unit square")
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"level out of range: {p}")
-    return float(np.count_nonzero(arr < p)) / arr.size
-
-
 def _pit_values(forecasts, observations) -> np.ndarray:
-    """Each forecast's CDF value at its outcome."""
-    obs = np.asarray(observations, dtype=np.float64)
-    if len(forecasts) != obs.size:
-        raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
-    if obs.size < 2:
+    """Each forecast's CDF value at its outcome, for a fit on at least 2 points."""
+    if len(forecasts) < 2:
         raise ValueError("calibration set too small: need at least 2 points")
-    if not np.all(np.isfinite(obs)):
-        raise ValueError("invalid input value: non-finite observation")
-    c = np.empty(obs.size)
-    for rows, cols in columns_by_kind(forecasts):
-        c[rows] = cols.cdf(obs[rows])
-    return c
+    obs = paired_outcomes(forecasts, observations, missing_ok=False)
+    return per_kind(forecasts, ForecastColumns.cdf, obs)
 
 
 def build_calibration_dataset(

@@ -1,13 +1,17 @@
+import argparse
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isocal import metrics
+from isocal.cli import _parse_levels
 from isocal.isotonic import IsotonicMap
 from isocal.metrics import (
     ReliabilityCurve,
     calibration_error,
+    check_levels,
     coverage,
     interval_coverage,
     mae_mid_quantile,
@@ -238,13 +242,101 @@ class TestMaeMidQuantile:
             mae_mid_quantile([Gaussian(0, 1)], [1.0, 2.0])
 
 
+TWO = [Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)]
+
+# (forecasts, observations, message), one row per outcome rule; flat fit,
+# reliability curve and MAE all give the rule's message. MAE used to give
+# 0.5 on the 2-d outcomes (broadcast against the medians) and NaN on NaN.
+BAD_OUTCOMES = {
+    "2-d": (TWO, [[0.0], [1.0]], "observations need ndim 1, got 2"),
+    "short": (TWO, [0.0], "2 forecasts for 1 observations"),
+    "long": (TWO, [0.0, 1.0, 2.0], "2 forecasts for 3 observations"),
+    "empty": ([], [], "no forecast/observation pairs"),
+    "+inf": (TWO, [0.0, np.inf], "invalid input value: infinite observation"),
+    "-inf": (TWO, [-np.inf, 0.0], "invalid input value: infinite observation"),
+    "nan": (TWO, [0.0, np.nan], "invalid input value: NaN observation"),
+}
+
+
+@pytest.mark.parametrize("rule", BAD_OUTCOMES)
+def test_every_scorer_refuses_a_bad_outcome_with_the_rule_message(rule):
+    forecasts, obs, message = BAD_OUTCOMES[rule]
+    scorers = {
+        "fit": lambda: fit_calibrator(forecasts, obs),
+        "curve": lambda: reliability_curve(forecasts, obs, LEVELS_19),
+        "mae": lambda: mae_mid_quantile(forecasts, obs),
+    }
+    if rule == "empty":  # the fit's own rule, at least 2 points, comes first
+        with pytest.raises(ValueError, match="^calibration set too small: need at least 2 points$"):
+            scorers.pop("fit")()
+    if rule == "nan":  # a missing outcome, which the curve counts as never covered
+        assert reliability_curve(forecasts, obs, [0.5]).empirical[0] == 0.5
+        scorers.pop("curve")
+    for scorer in scorers.values():
+        with pytest.raises(ValueError) as info:
+            scorer()
+        assert str(info.value) == message
+
+
+BAD_LEVELS = {
+    "empty": ([], "levels must be a nonempty 1-d sequence"),
+    "2-d": ([[0.5]], "levels must be a nonempty 1-d sequence"),
+    "zero": ([0.0, 0.5], "levels must lie strictly inside (0, 1)"),
+    "one": ([0.5, 1.0], "levels must lie strictly inside (0, 1)"),
+    "nan": ([0.5, np.nan], "levels must lie strictly inside (0, 1)"),
+    "repeated": ([0.5, 0.5], "levels must be strictly increasing"),
+    "decreasing": ([0.6, 0.5], "levels must be strictly increasing"),
+}
+
+
+@pytest.mark.parametrize("grid", BAD_LEVELS)
+def test_every_level_grid_is_checked_once(grid):
+    levels, message = BAD_LEVELS[grid]
+    for check in (check_levels, lambda p: reliability_curve([Gaussian(0, 1)], [0.0], p),
+                  lambda p: ReliabilityCurve(p, np.zeros(np.shape(p)), np.ones(np.shape(p)))):
+        with pytest.raises(ValueError) as info:
+            check(levels)
+        assert str(info.value) == message
+    if np.ndim(levels) == 1 and len(levels):  # a grid the CLI's level spec can spell
+        spec = ",".join(map(repr, levels))
+        with pytest.raises(argparse.ArgumentTypeError) as info:
+            _parse_levels(spec)
+        assert str(info.value) == f"levels must be strictly increasing inside (0, 1): {spec!r}"
+
+
+def test_checked_levels_are_a_read_only_copy():
+    levels = [0.25, 0.5]
+    arr = check_levels(levels)
+    assert arr.dtype == np.float64 and not arr.flags.writeable
+    assert np.array_equal(arr, levels)
+
+
+BAD_CURVES = {
+    "nan frequency": ([0.5], [np.nan], [1.0], "empirical frequencies must lie in [0, 1]"),
+    "frequency above 1": ([0.5], [7.0], [1.0], "empirical frequencies must lie in [0, 1]"),
+    "negative frequency": ([0.5], [-0.1], [1.0], "empirical frequencies must lie in [0, 1]"),
+    "nan weight": ([0.5], [0.5], [np.nan], "weights must be finite and nonnegative"),
+    "inf weight": ([0.5], [0.5], [np.inf], "weights must be finite and nonnegative"),
+    "negative weight": ([0.5], [0.5], [-1.0], "weights must be finite and nonnegative"),
+    "short weights": ([0.25, 0.5], [0.5, 0.5], [1.0], "levels, empirical and weights must have equal length"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_CURVES)
+def test_reliability_curve_refuses_what_would_give_a_silent_nan(case):
+    levels, empirical, weights, message = BAD_CURVES[case]
+    with pytest.raises(ValueError) as info:
+        ReliabilityCurve(levels, empirical, weights)
+    assert str(info.value) == message
+
+
 class TestCurveValidationAndExport:
     def test_levels_must_increase(self):
         with pytest.raises(ValueError):
             ReliabilityCurve([0.5, 0.5], [0.1, 0.2], [1.0, 1.0])
 
     def test_nan_level_rejected(self):
-        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+        with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
             ReliabilityCurve([0.5, np.nan], [0.1, 0.2], [1.0, 1.0])
 
     def test_negative_weights_rejected(self):

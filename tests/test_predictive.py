@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import isocal
 from isocal.gridio import ForecastSeries
 from isocal.predictive import (Empirical, ForecastColumns, Gaussian, cdf, forecast_fields, from_samples,
-                               quantile, std_normal_cdf, std_normal_quantile, variance)
+                               per_kind, quantile, std_normal_cdf, std_normal_quantile, variance)
 
 import oracles
 
@@ -61,6 +61,22 @@ def test_cdf_rejects_non_finite():
         cdf(Gaussian(0, 1), math.nan)
     with pytest.raises(ValueError, match="invalid input value"):
         cdf(Empirical([1.0, 2.0]), math.inf)
+
+
+def test_per_kind_runs_one_kernel_call_per_kind_in_input_order():
+    dists = [Gaussian(0, 1), Empirical([0.0, 1.0]), Gaussian(2, 1), Empirical([0.0, 1.0, 5.0]),
+             Empirical([3.0, 4.0])]
+    ys = np.array([0.5, 0.5, 1.0, 1.0, 3.5])
+    sizes = []
+
+    def kernel(cols, y):
+        sizes.append(len(cols))
+        return cols.cdf(y)
+
+    assert np.array_equal(per_kind(dists, kernel, ys), [cdf(d, y) for d, y in zip(dists, ys)])
+    assert sizes == [2, 2, 1]  # the Gaussians, the 2-member and the 3-member ensembles
+    cols = ForecastColumns(samples=[[0.0, 1.0], [2.0, 3.0]])
+    assert per_kind(cols, lambda c: c) is cols
 
 
 def test_ensemble_members_must_fit_the_double_range():

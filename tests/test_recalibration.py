@@ -22,7 +22,6 @@ from isocal.recalibration import (
     calibrated_cdf,
     calibrated_quantile,
     central_interval,
-    empirical_cdf_level,
     fit_calibrator,
     grid_points,
     load_model,
@@ -42,21 +41,6 @@ def identity_calibrator():
 
 def constant_calibrator(value=0.5):
     return CalibratedForecaster("pooled", *oracles.knot_table([IsotonicMap([0.5], [value])]))
-
-
-class TestEmpiricalCdfLevel:
-    def test_counts_strictly_below(self):
-        assert empirical_cdf_level([0.2, 0.5, 0.9], 0.5) == pytest.approx(1 / 3)
-
-    def test_zero_level(self):
-        assert empirical_cdf_level([0.2, 0.5, 0.9], 0.0) == 0.0
-
-    def test_top_level(self):
-        assert empirical_cdf_level([0.2, 0.5, 0.9], 1.0) == 1.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            empirical_cdf_level([], 0.5)
 
 
 class TestBuildCalibrationDataset:

@@ -1,7 +1,8 @@
-"""Smoke tests: the experiment scripts and `python -m isocal` run end to end
-at a small size."""
+"""Smoke tests: the experiment scripts, `python -m isocal` and README's
+python examples run end to end at a small size."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,14 @@ def test_make_reliability_curves(tmp_path):
             curve = (tmp_path / f"{tag}_{kind}.csv").read_text().splitlines()
             assert curve[0] == "level,empirical,weight"
             assert len(curve) == 40
+
+
+def test_readme_python_blocks():
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(), re.S | re.M)
+    assert blocks
+    for code in blocks:
+        proc = run_python("-c", code)
+        assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_python_dash_m_isocal(tmp_path):
