@@ -133,10 +133,7 @@ def _load_grids(args):
     """The observation grid, and `grid_points` of the two input files."""
     fs = read_forecasts(args.forecasts)
     gs = read_observations(args.observations)
-    points = grid_points(fs, gs)
-    if points[1].size == 0:
-        raise ValueError("no valid forecast/observation pairs")
-    return gs, points
+    return gs, grid_points(fs, gs)
 
 
 def _load_model(args, gs):

@@ -86,22 +86,19 @@ class ReliabilityCurve:
 
 def coverage(quantile_bounds: Sequence[float], observations: Sequence[float]) -> float:
     """Fraction of observations at or below their forecast upper bound."""
-    bounds = np.asarray(quantile_bounds, dtype=np.float64)
-    obs = np.asarray(observations, dtype=np.float64)
-    if bounds.size == 0:
-        raise ValueError("coverage of an empty set is undefined")
-    if bounds.shape != obs.shape:
-        raise ValueError(f"{bounds.size} bounds for {obs.size} observations")
-    return float(np.count_nonzero(obs <= bounds)) / bounds.size
+    return interval_coverage(np.full(np.shape(quantile_bounds), -np.inf), quantile_bounds, observations)
 
 
 def interval_coverage(lows, highs, observations) -> float:
-    """Fraction of observations falling inside their [low, high] interval."""
-    lo = np.asarray(lows, dtype=np.float64)
-    hi = np.asarray(highs, dtype=np.float64)
-    obs = np.asarray(observations, dtype=np.float64)
-    if lo.size == 0 or lo.shape != obs.shape or hi.shape != obs.shape:
-        raise ValueError("interval coverage needs equal-length nonempty inputs")
+    """Fraction of observations falling inside their [low, high] interval.
+    The bounds are 1-d, one pair per outcome (`paired_outcomes`); a
+    missing (NaN) outcome is never covered."""
+    lo, hi = (np.asarray(b, dtype=np.float64) for b in (lows, highs))
+    if hi.ndim != 1:
+        raise ValueError(f"bounds need ndim 1, got {hi.ndim}")
+    if lo.shape != hi.shape:
+        raise ValueError(f"lower bounds of shape {lo.shape} for upper bounds of shape {hi.shape}")
+    obs = paired_outcomes(hi, observations, missing_ok=True)
     return float(np.count_nonzero((obs >= lo) & (obs <= hi))) / obs.size
 
 

@@ -290,16 +290,11 @@ class ForecastColumns:
         if self.samples is None:
             return self.means[:, None] + self.stds[:, None] * std_normal_quantile(p)[index]
         xs = self.samples
-        k = xs.shape[1]
-        if k == 1:
-            return np.repeat(xs, p.shape[1], axis=1)
-        positions, j, at, between = _plotting_lookup(p, k)
-        width, offset = positions[j + 1] - positions[j], p - positions[j]
-        j, at, between, width, offset = (a[index] for a in (j, at, between, width, offset))
+        first, offset, width = (a[index] for a in _plotting_lookup(p, xs.shape[1]))
         rows = np.arange(len(xs))[:, None]
-        lo = xs[rows, j]
-        slope = (xs[rows, j + 1] - lo) / width
-        return np.where(between, slope * offset + lo, xs[rows, at])
+        inside = offset != 0.0
+        lo, hi = xs[rows, first], xs[rows, first + inside]
+        return np.where(inside, (hi - lo) / width * offset + lo, lo)
 
     def variance(self) -> np.ndarray:
         """Each forecast's variance: std**2, or the population variance of
@@ -327,12 +322,10 @@ class ForecastColumns:
             return self.stds * self.stds * np.var(std_normal_quantile(p), axis=1)[index]
         n_rows, n_levels = p.shape
         k = self.samples.shape[1]
-        if k == 1:
-            return np.zeros(len(self))
-        positions, j, at, between = _plotting_lookup(p, k)
-        upper = np.where(between, (p - positions[j]) / (positions[j + 1] - positions[j]), 0.0)
+        first, offset, width = _plotting_lookup(p, k)
+        upper = offset / width
         lower = 1.0 - upper  # weight of member `first`; `upper` is that of first + 1
-        first = np.where(between, j, at) + (k + 1) * np.arange(n_rows)[:, None]
+        first = first + (k + 1) * np.arange(n_rows)[:, None]
 
         def level_mean(weights, shift):
             """Mean over each row's levels of the weight on every member."""
@@ -348,14 +341,17 @@ class ForecastColumns:
 
 
 def _plotting_lookup(p: np.ndarray, k: int):
-    """The k >= 2 plotting positions (j - 0.5)/k and, for each level of
-    ``p``: the left end j of its segment; the member `at` it reads unless
-    it lies strictly inside a segment; and whether it does."""
-    positions = (np.arange(k) + 0.5) / k
-    j = np.searchsorted(positions, p, side="right") - 1
-    at = np.maximum(j, 0)
-    between = (j >= 0) & (j < k - 1) & (positions[at] != p)
-    return positions, np.minimum(at, k - 2), at, between
+    """Where each level of ``p`` falls among the plotting positions
+    (j - 0.5)/k, j = 1..k+1, the last one giving member k a segment too:
+    the member ``first`` at or below it (the extreme member outside the
+    positions), its ``offset`` into that member's segment (0 unless it
+    lies strictly inside one, between two members) and the segment's
+    ``width``."""
+    positions = (np.arange(k + 1) + 0.5) / k
+    j = np.searchsorted(positions[:k], p, side="right") - 1
+    first = np.maximum(j, 0)
+    offset = np.where((j >= 0) & (j < k - 1), p - positions[first], 0.0)
+    return first, offset, positions[first + 1] - positions[first]
 
 
 def _checked_columns(**arrays) -> ForecastColumns:

@@ -130,7 +130,9 @@ class CalibratedForecaster:
 
     @property
     def maps(self) -> tuple[IsotonicMap, ...]:
-        """Every map as an `IsotonicMap`, built on demand for the scalar API."""
+        """Every map as an `IsotonicMap`, built on demand. The pipeline and
+        the scalar API read the knot table itself (`raw_levels`,
+        `evaluate_map`); only tests and `perfbench/tracing.py` read this."""
         return tuple(map(self._map, range(self.starts.size)))
 
     def _map(self, i: int) -> IsotonicMap:
@@ -186,7 +188,7 @@ def grid_points(
 
     Points come cell by cell in row-major order, so each cell's points are
     contiguous, and in time order within a cell. Raises on any dimension
-    or time-axis mismatch.
+    or time-axis mismatch, and when no point has an observation.
     """
     if (forecasts.h, forecasts.w) != (observations.h, observations.w):
         raise ValueError(f"grid dimension mismatch: forecasts {forecasts.h}x{forecasts.w}, "
@@ -194,6 +196,8 @@ def grid_points(
     if forecasts.times != observations.times:
         raise ValueError("forecast and observation time axes differ")
     valid = np.moveaxis(observations.mask, 0, -1)  # H x W x T, cell-major
+    if not valid.any():
+        raise ValueError("no valid forecast/observation pairs")
     cols = ForecastColumns(**{name: np.moveaxis(arr, 0, 2)[valid]  # members stay last
                               for name, arr in forecast_fields(forecasts).items()})
     rows, col_index, _ = np.nonzero(valid)
@@ -219,8 +223,6 @@ def fit_calibrator(
     gridded = isinstance(forecasts, ForecastSeries)
     if gridded != isinstance(observations, GridSeries):
         raise ValueError("forecasts and observations must both be flat or both gridded")
-    if scope not in ("pooled", "per_cell"):
-        raise ValueError(f"unknown scope: {scope!r}")
     if scope == "per_cell" and not gridded:
         raise ValueError("per_cell scope requires gridded inputs")
 

@@ -208,6 +208,18 @@ class TestCalibrateCommand:
         cf = load_model(model)
         assert sum(m.breakpoints.size for m in cf.maps) == 236  # one knot per fitted point
 
+    @pytest.mark.parametrize("scope", ["pooled", "per-cell"])
+    def test_no_valid_observation_gives_the_line_evaluate_gives(self, tmp_path, capsys, scope):
+        fc = tmp_path / "fc.csv"
+        fc.write_text("time,row,col,mean,std\n0,0,0,0.0,1.0\n1,0,0,0.0,1.0\n")
+        obs = tmp_path / "obs.csv"
+        obs.write_text("time,row,col,value\n0,0,0,NaN\n1,0,0,NaN\n")
+        out = tmp_path / "model.json"
+        assert run("calibrate", "--forecasts", fc, "--observations", obs, "--scope", scope,
+                   "--out", out) == 3
+        assert capsys.readouterr() == ("", "isocal: error: no valid forecast/observation pairs\n")
+        assert not out.exists()
+
 
 class TestEvaluateCommand:
     def test_report_structure_and_direction(self, alpha2_files, tmp_path):

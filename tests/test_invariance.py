@@ -5,11 +5,14 @@ increasing map applied to forecasts and outcomes alike leaves unchanged.
 Scaling every value by a power of two is such a map and is exact in
 floating point, so model files, coverage and CE stay byte for byte the
 same, MAE scales by s and sharpness by s**2. The record order of the
-input files carries no information either.
+input files carries no information either, nor the order of an
+ensemble's members. A per-cell map is the pooled map of its cell's
+points, and the interpolation mode only changes how maps are read.
 """
 
 import contextlib
 import io
+import itertools
 import json
 import random
 import warnings
@@ -64,6 +67,44 @@ def shuffled(text):
     header, *records = text.splitlines()
     random.Random(5).shuffle(records)
     return "\n".join([header] + records) + "\n"
+
+
+def permuted_members(text):
+    """A grid file with each ensemble's member values shuffled among its
+    ``sample_idx`` labels; a file with no members is returned as it is."""
+    header, *records = text.splitlines()
+    if "sample_idx" not in header:
+        return text
+    fields = [record.split(",") for record in records]
+    members = {}
+    for f in fields:
+        members.setdefault(tuple(f[:3]), []).append(f)
+    rng = random.Random(7)
+    for group in members.values():
+        values = [f[4] for f in group]
+        rng.shuffle(values)
+        for f, value in zip(group, values):
+            f[4] = value
+    return "\n".join([header] + [",".join(f) for f in fields]) + "\n"
+
+
+def one_cell(text, row, col):
+    """The records of grid cell (row, col), as the one cell of a 1x1 grid."""
+    header, *records = text.splitlines()
+    fields = [record.split(",") for record in records]
+    return "\n".join([header] + [",".join(f[:1] + ["0", "0"] + f[3:]) for f in fields
+                                  if f[1:3] == [str(row), str(col)]]) + "\n"
+
+
+def calibrated(d, fc_text, obs_text, *flags):
+    """The model file that `calibrate` fits on the two texts with ``flags``."""
+    d.mkdir(parents=True, exist_ok=True)
+    fc, obs, model = d / "fc.csv", d / "obs.csv", d / "model.json"
+    fc.write_text(fc_text)
+    obs.write_text(obs_text)
+    assert run_recorded("calibrate", "--forecasts", fc, "--observations", obs, *flags,
+                        "--out", model) == (0, "")
+    return model.read_bytes()
 
 
 def pipeline(d, texts, kind, scope, edit):
@@ -140,3 +181,31 @@ def test_record_order(tmp_path, grids, kind, scope):
     base_runs, base = pipeline(tmp_path / "base", grids, kind, scope, lambda text: text)
     runs, out = pipeline(tmp_path / "shuffled", grids, kind, scope, shuffled)
     assert (runs, out) == (base_runs, base)
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+def test_member_order(tmp_path, grids, scope):
+    assert permuted_members(grids["fit_fc", "ens"]) != grids["fit_fc", "ens"]
+    base_runs, base = pipeline(tmp_path / "base", grids, "ens", scope, lambda text: text)
+    runs, out = pipeline(tmp_path / "permuted", grids, "ens", scope, permuted_members)
+    assert (runs, out) == (base_runs, base)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_each_per_cell_map_is_the_pooled_map_of_its_cell(tmp_path, grids, kind):
+    fc, obs = grids["fit_fc", kind], grids["fit_obs", kind]
+    cells = json.loads(calibrated(tmp_path / "cells", fc, obs, "--scope", "per-cell"))
+    assert (cells["h"], cells["w"]) == (4, 4)
+    for r, c in itertools.product(range(4), range(4)):
+        pooled = json.loads(calibrated(tmp_path / f"cell{r}-{c}", one_cell(fc, r, c), one_cell(obs, r, c)))
+        assert pooled["maps"] == [cells["maps"][r * 4 + c]]
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+@pytest.mark.parametrize("kind", KINDS)
+def test_linear_and_step_models_differ_only_in_interpolation(tmp_path, grids, kind, scope):
+    fc, obs = grids["fit_fc", kind], grids["fit_obs", kind]
+    linear, step = (calibrated(tmp_path / mode, fc, obs, "--scope", scope, "--interpolation", mode)
+                    for mode in ("linear", "step"))
+    assert b'"interpolation": "linear"' in linear
+    assert step == linear.replace(b'"interpolation": "linear"', b'"interpolation": "step"')

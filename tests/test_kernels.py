@@ -64,7 +64,7 @@ def ref_inverse(m, p):
 
 
 # Members on a coarse grid, so ties among members and with outcomes occur.
-ensembles = st.integers(2, 7).flatmap(lambda k: st.lists(
+ensembles = st.integers(1, 7).flatmap(lambda k: st.lists(
     st.lists(st.integers(-6, 6), min_size=k, max_size=k), min_size=1, max_size=12))
 levels = st.lists(st.floats(1e-6, 1 - 1e-6), min_size=1, max_size=8)
 
@@ -87,6 +87,21 @@ def test_ensemble_kernels_match_loop_references(rows, data):
         assert variance(d) == pytest.approx(np.var(row), rel=1e-12, abs=1e-12)
         level_var = np.var(ref_ensemble_quantile(row, p))
         assert cols.level_variance(p)[i] == pytest.approx(level_var, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("members, levels", [
+    ([-0.0], [0.01, 0.5, 0.99]),             # one member: its position and both sides
+    ([-0.0, 1.0], [0.1, 0.25]),              # below the first position, and on it
+    ([-1.0, -0.0], [0.75, 0.9]),             # on the last position, and above it
+    ([-2.0, -0.0, 3.0], [0.5]),              # on an inner position
+])
+def test_a_negative_zero_member_read_off_a_segment_stays_negative_zero(members, levels):
+    cols = ForecastColumns(samples=[members])
+    q = cols.quantiles(levels)
+    assert np.all((q == 0.0) & np.signbit(q))
+    assert np.array_equal(q.view(np.int64), np.array([[ref_ensemble_quantile(np.asarray(members), p)
+                                                       for p in levels]]).view(np.int64))
+    assert all(np.signbit(quantile(Empirical(members), p)) for p in levels)
 
 
 @given(st.lists(st.tuples(st.floats(-50, 50), st.floats(0.01, 20), st.floats(-80, 80)),

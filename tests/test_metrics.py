@@ -1,4 +1,5 @@
 import argparse
+import re
 
 import numpy as np
 import pytest
@@ -60,6 +61,28 @@ class TestCoverage:
 
     def test_interval_coverage(self):
         assert interval_coverage([0.0, 0.0], [1.0, 1.0], [0.5, 2.0]) == 0.5
+
+    @pytest.mark.parametrize("bounds, obs, message", [
+        ([[1.0], [2.0]], [1.0, 2.0], "bounds need ndim 1, got 2"),
+        ([1.0], [1.0, 2.0], "1 forecasts for 2 observations"),
+        ([], [], "no forecast/observation pairs"),
+        ([1.0, 1.0], [0.0, np.inf], "invalid input value: infinite observation"),
+        ([1.0, 1.0], [-np.inf, 0.0], "invalid input value: infinite observation"),
+    ])
+    def test_coverage_refusals(self, bounds, obs, message):
+        lows = np.zeros(np.shape(bounds))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            coverage(bounds, obs)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            interval_coverage(lows, bounds, obs)
+
+    def test_interval_bounds_of_two_shapes_are_refused(self):
+        with pytest.raises(ValueError, match=r"^lower bounds of shape \(2,\) for upper bounds of shape \(3,\)$"):
+            interval_coverage([0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5, 0.5])
+
+    def test_a_missing_outcome_is_never_covered(self):
+        assert coverage([1.0, 1.0, 1.0, 1.0], [0.0, np.nan, 2.0, 1.0]) == 0.5
+        assert interval_coverage([-1.0] * 4, [1.0] * 4, [0.0, np.nan, 2.0, 1.0]) == 0.5
 
 
 class TestReliabilityCurve:

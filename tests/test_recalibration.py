@@ -103,6 +103,19 @@ class TestFitCalibrator:
         with pytest.raises(ValueError, match="gridded"):
             fit_calibrator([Gaussian(0, 1)] * 40, [0.0] * 40, scope="per_cell")
 
+    @pytest.mark.parametrize("scope", ["pooled", "per_cell"])
+    def test_grids_without_an_observation_are_refused(self, scope):
+        times = tuple(range(10))
+        fs = ForecastSeries(times=times, means=np.zeros((10, 2, 2)), stds=np.ones((10, 2, 2)))
+        gs = GridSeries(times=times, values=np.full((10, 2, 2), np.nan))
+        with pytest.raises(ValueError, match="^no valid forecast/observation pairs$"):
+            fit_calibrator(fs, gs, scope=scope)
+
+    @pytest.mark.parametrize("scope", ["per-cell", "cells"])
+    def test_unknown_scope_is_refused_by_the_model(self, scope):
+        with pytest.raises(ValueError, match=f"^unknown scope: '{scope}'$"):
+            fit_calibrator([Gaussian(0, 1)] * 4, [0.0, 1.0, -1.0, 0.5], scope=scope)
+
     def test_per_cell_insufficient_points_names_cell(self):
         times = tuple(range(10))
         fs = ForecastSeries(times=times, means=np.zeros((10, 2, 2)), stds=np.ones((10, 2, 2)))
