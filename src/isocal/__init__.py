@@ -11,7 +11,7 @@ from .metrics import (
     reliability_curve,
     sharpness,
 )
-from .predictive import Empirical, Gaussian, PredictiveDist, cdf, from_samples, quantile, variance
+from .predictive import Empirical, Gaussian, PredictiveDist, cdf, quantile, variance
 from .recalibration import (
     CalibratedForecaster,
     CalibrationPair,
@@ -48,7 +48,6 @@ __all__ = [
     "coverage",
     "fit_calibrator",
     "fit_isotonic",
-    "from_samples",
     "generate",
     "generate_gridded",
     "interval_coverage",

@@ -9,15 +9,17 @@ kernels on one row. Every container of forecasts checks its arrays
 through `forecast_arrays`. Every operation is pure, so instances can be
 shared freely across threads.
 
-The standard normal CDF (libm's erfc) and quantile (Wichura's AS241) are
-implemented here on numpy alone; every stage, `synth` included, calls
-these two functions.
+Every stage, `synth` included, calls the standard normal CDF (libm's
+``erfc``) and quantile (CPython's ``NormalDist().inv_cdf``, Wichura's
+AS241 in C) defined here, value by value, so neither depends on which
+SIMD code numpy dispatches to on the host.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -31,57 +33,24 @@ __all__ = [
     "cdf",
     "quantile",
     "variance",
-    "from_samples",
     "per_kind",
     "paired_outcomes",
     "forecast_arrays",
     "forecast_fields",
 ]
 
-# Levels per step of the normal quantile, which holds about 80 bytes of
-# temporaries per level.
-_AS241_BLOCK = 1 << 14
-
+_MAP_BLOCK = 1 << 14  # values per step of `_scalar_map`, whose list holds 32 bytes a value
 _SQRT2 = math.sqrt(2.0)
-_erfc = np.frompyfunc(math.erfc, 1, 1)
 
 
-
-def _pairs(num, den) -> np.ndarray:
-    return np.array([num, den]).T[:, :, None]
-
-
-# AS241 (PPND16) coefficients, highest power first, as (numerator,
-# denominator) pairs: the central branch, then the tails for r <= 5 and r > 5.
-_AS241_CENTRAL = _pairs(
-    (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
-     4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
-     1.3314166789178437745e+2, 3.3871328727963666080e+0),
-    (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
-     2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
-     4.2313330701600911252e+1, 1.0))
-_AS241_NEAR = _pairs(
-    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
-     1.27045825245236838258e+0, 3.64784832476320460504e+0, 5.76949722146069140550e+0,
-     4.63033784615654529590e+0, 1.42343711074968357734e+0),
-    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
-     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e+0,
-     2.05319162663775882187e+0, 1.0))
-_AS241_FAR = _pairs(
-    (2.01033439929228813265e-7, 2.71155556874348757815e-5, 1.24266094738807843860e-3,
-     2.65321895265761230930e-2, 2.96560571828504891230e-1, 1.78482653991729133580e+0,
-     5.46378491116411436990e+0, 6.65790464350110377720e+0),
-    (2.04426310338993978564e-15, 1.42151175831644588870e-7, 1.84631831751005468180e-5,
-     7.86869131145613259100e-4, 1.48753612908506148525e-2, 1.36929880922735805310e-1,
-     5.99832206555887937690e-1, 1.0))
-
-
-def _horner(coeffs: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Both polynomials of a coefficient table at r: 2 x len(r)."""
-    acc = coeffs[0] * r + coeffs[1]
-    for c in coeffs[2:]:
-        acc = acc * r + c
-    return acc
+def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
+    """``fn`` of every value of the float64 array ``x``, in its shape."""
+    flat = x.reshape(-1)
+    out = np.empty(flat.shape)
+    for start in range(0, flat.size, _MAP_BLOCK):
+        block = flat[start:start + _MAP_BLOCK]
+        out[start:start + _MAP_BLOCK] = np.fromiter(map(fn, block.tolist()), np.float64, block.size)
+    return out.reshape(x.shape)
 
 
 def std_normal_cdf(x):
@@ -93,49 +62,25 @@ def std_normal_cdf(x):
     or arrays: a scalar gives a numpy scalar, and x = -inf / +inf give 0 / 1.
     """
     z = np.negative(x, dtype=np.float64) / _SQRT2
-    return 0.5 * np.asarray(_erfc(z), dtype=np.float64)
+    return 0.5 * _scalar_map(math.erfc, z)
 
 
 def std_normal_quantile(p):
-    """Standard normal quantile (inverse CDF), by Wichura's algorithm AS241.
+    """Standard normal quantile (inverse CDF): ``NormalDist().inv_cdf``.
 
-    AS241 (PPND16, Applied Statistics 37, 1988) is a rational approximation
-    in three branches: |p - 0.5| <= 0.425, and the tails split at
-    r = sqrt(-log(min(p, 1 - p))) = 5; relative error is about 1e-16 for
-    p down to 1e-300. Accepts scalars or arrays: a scalar gives a numpy
-    scalar. p = 0 gives -inf, p = 1 gives inf, and p outside [0, 1] or NaN
-    gives NaN, all without a floating-point warning.
+    CPython computes it by Wichura's AS241 (PPND16, Applied Statistics 37,
+    1988) in C; relative error is about 1e-16 for p down to 1e-300.
+    Accepts scalars or arrays: a scalar gives a numpy scalar. p = 0 gives
+    -inf, p = 1 gives inf, and p outside [0, 1] or NaN gives NaN, all
+    without a floating-point warning.
     """
     p = np.asarray(p, dtype=np.float64)
-    flat = p.reshape(-1)
-    out = np.empty(flat.shape)
-    for start in range(0, flat.size, _AS241_BLOCK):
-        out[start:start + _AS241_BLOCK] = _as241(flat[start:start + _AS241_BLOCK])
-    return out.reshape(p.shape)[()]
-
-
-def _as241(flat: np.ndarray) -> np.ndarray:
-    q = flat - 0.5
-    out = np.full(flat.shape, np.nan)
-    central = np.abs(q) <= 0.425
-    if central.any():
-        qc = q[central]
-        num, den = _horner(_AS241_CENTRAL, 0.180625 - qc * qc)
-        out[central] = num * qc / den
-    tail = ~central & (flat > 0.0) & (flat < 1.0)
-    if tail.any():
-        qt = q[tail]
-        r = np.sqrt(-np.log(np.where(qt <= 0.0, flat[tail], 1.0 - flat[tail])))
-        near = r <= 5.0
-        x = np.empty(r.shape)
-        for branch, shift, coeffs in ((near, 1.6, _AS241_NEAR), (~near, 5.0, _AS241_FAR)):
-            if branch.any():
-                num, den = _horner(coeffs, r[branch] - shift)
-                x[branch] = num / den
-        out[tail] = np.where(qt < 0.0, -x, x)
-    out[flat == 0.0] = -np.inf
-    out[flat == 1.0] = np.inf
-    return out
+    out = np.full(p.shape, np.nan)
+    inside = (p > 0.0) & (p < 1.0)
+    out[inside] = _scalar_map(NormalDist().inv_cdf, p[inside])
+    out[p == 0.0] = -np.inf
+    out[p == 1.0] = np.inf
+    return out[()]
 
 
 def forecast_arrays(axes: int, means=None, stds=None, samples=None) -> dict[str, np.ndarray]:
@@ -424,20 +369,3 @@ def quantile(d: PredictiveDist, p: float) -> float:
 def variance(d: PredictiveDist) -> float:
     """Variance of the forecast: std**2, or population variance of samples."""
     return float(per_kind([d], ForecastColumns.variance)[0])
-
-
-def from_samples(samples, fit_gaussian: bool = False) -> PredictiveDist:
-    """Build a predictive distribution from at least two forecast samples.
-
-    By default returns an `Empirical` over the sorted samples. With
-    ``fit_gaussian`` a `Gaussian` is fitted instead (mean and standard
-    deviation with the n-1 divisor); constant samples are rejected in that
-    case because the spread would degenerate to zero.
-    """
-    ensemble = Empirical(samples)
-    if ensemble.samples.size < 2:
-        raise ValueError("invalid input value: need at least 2 samples")
-    if not fit_gaussian:
-        return ensemble
-    arr = np.asarray(samples, dtype=np.float64)
-    return Gaussian(float(np.mean(arr)), float(np.std(arr, ddof=1)))

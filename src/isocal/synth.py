@@ -13,8 +13,11 @@ function of the seed: raw 64-bit words are splitmix64 finalizations of
 ``seed + (counter + 1) * 0x9E3779B97F4A7C15``, uniforms take the top 53
 bits via ``((word >> 11) + 0.5) * 2**-53`` capped below 1 (the top word
 would round to 1), and normals apply the standard normal quantile to one
-uniform each (Wichura's AS241 in numpy, `predictive.std_normal_quantile`;
-the analytic map uses the same function and the erfc-based `std_normal_cdf`).
+uniform each (CPython's ``NormalDist().inv_cdf``, through
+`predictive.std_normal_quantile`; the analytic map uses the same function
+and `std_normal_cdf`, libm's ``erfc``). The grid field's float64 ``np.sin``
+and ``np.cos`` are the only other transcendental functions; they give the
+same bits with numpy's AVX512 code switched on and off.
 Sample ``i`` owns the counter block ``[i*b, (i+1)*b)`` with ``b = 3 + k``
 draws per sample (k = 0 in gaussian mode), so any chunking of the sample
 range reproduces sequential output exactly.

@@ -15,9 +15,13 @@ import io
 import itertools
 import json
 import random
+import tempfile
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isocal.cli import main
 
@@ -63,9 +67,9 @@ def scaled(text, s):
     return "\n".join(out) + "\n"
 
 
-def shuffled(text):
+def shuffled(text, seed=5):
     header, *records = text.splitlines()
-    random.Random(5).shuffle(records)
+    random.Random(seed).shuffle(records)
     return "\n".join([header] + records) + "\n"
 
 
@@ -173,6 +177,44 @@ def test_scale_beyond_the_double_range_of_sharpness(tmp_path, grids, kind, scope
     assert runs["evaluate"] == runs["evaluate_model"] == OVERFLOW
     assert (out["model.json"], out["curve.csv"]) == (base["model.json"], base["curve.csv"])
     assert "raw.json" not in out and "cal.json" not in out
+
+
+@pytest.mark.parametrize("scope", SCOPES)
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=12, deadline=None)
+@given(h=st.integers(1, 3), w=st.integers(1, 3), t=st.integers(2, 60), k=st.integers(2, 12),
+       alpha=st.sampled_from([0.5, 1.0, 2.0]), seed=st.integers(0, 2**32),
+       exponent=st.integers(-128, 128), order=st.integers(0, 2**32))
+def test_invariants_on_drawn_grids(kind, scope, h, w, t, k, alpha, seed, exponent, order):
+    """Scaling by s = 2**exponent and shuffling the records, on small grids
+    of any shape: per-cell fits of fewer than 30 steps per cell, and
+    evaluations of degenerate maps, must fail the same way too."""
+    s = 2.0 ** exponent
+    flags = ["--mode", "sample_set", "--k", k] if kind == "ens" else []
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        texts = {}
+        for split, split_seed in (("fit", seed), ("eval", seed + 1)):
+            fc, obs = d / f"{split}_fc.csv", d / f"{split}_obs.csv"
+            assert run_recorded("synth", "--grid", f"{h}x{w}x{t}", "--alpha", alpha, "--seed", split_seed,
+                                *flags, "--out-forecasts", fc, "--out-observations", obs) == (0, "")
+            texts[f"{split}_fc", kind], texts[f"{split}_obs", kind] = fc.read_text(), obs.read_text()
+
+        def run(name, edit):
+            """`pipeline` in directory ``name``, which its messages do not name."""
+            runs, out = pipeline(d / name, texts, kind, scope, edit)
+            return {stage: (code, err.replace(str(d / name), "")) for stage, (code, err) in runs.items()}, out
+
+        base_runs, base = run("base", lambda text: text)
+        runs, out = run("scaled", lambda text: scaled(text, s))
+        assert runs == base_runs
+        assert out.keys() == base.keys()
+        for name in base:
+            if name.endswith(".json") and name != "model.json":
+                assert unscaled(json.loads(out[name]), s) == json.loads(base[name])
+            else:
+                assert out[name] == base[name]
+        assert run("shuffled", lambda text: shuffled(text, order)) == (base_runs, base)
 
 
 @pytest.mark.parametrize("scope", SCOPES)

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 import isocal
 from isocal.gridio import ForecastSeries
-from isocal.predictive import (Empirical, ForecastColumns, Gaussian, cdf, forecast_fields, from_samples,
-                               per_kind, quantile, std_normal_cdf, std_normal_quantile, variance)
+from isocal.predictive import (Empirical, ForecastColumns, Gaussian, cdf, forecast_fields, per_kind,
+                               quantile, std_normal_cdf, std_normal_quantile, variance)
 
 import oracles
 
@@ -212,32 +213,6 @@ def test_variance_examples():
     assert variance(Empirical([0, 2])) == pytest.approx(1.0)
 
 
-def test_from_samples_sorts():
-    d = from_samples([3, 1, 2])
-    assert isinstance(d, Empirical)
-    assert d.samples.tolist() == [1, 2, 3]
-
-
-def test_from_samples_degenerate_spread():
-    assert isinstance(from_samples([0, 0, 0, 0]), Empirical)
-    with pytest.raises(ValueError):
-        from_samples([0, 0, 0, 0], fit_gaussian=True)
-
-
-def test_from_samples_gaussian_uses_n_minus_1():
-    d = from_samples([0, 2], fit_gaussian=True)
-    assert isinstance(d, Gaussian)
-    assert d.mean == pytest.approx(1.0)
-    assert d.std == pytest.approx(oracles.SQRT_2, abs=1e-6)
-
-
-def test_from_samples_rejects_bad_input():
-    with pytest.raises(ValueError):
-        from_samples([1.0])
-    with pytest.raises(ValueError):
-        from_samples([1.0, math.nan])
-
-
 def test_gaussian_rejects_zero_std():
     with pytest.raises(ValueError, match="nonpositive std"):
         Gaussian(0.0, 0.0)
@@ -317,6 +292,20 @@ def test_std_normal_kernels_against_scipy():
     want = ndtri(p)
     nonzero = want != 0.0
     assert np.max(np.abs(std_normal_quantile(p) - want)[nonzero] / np.abs(want[nonzero])) <= 4e-15
+
+
+def test_std_normal_kernels_are_the_standard_library_functions():
+    """Bit for bit `NormalDist().inv_cdf` and 0.5 * libm's erfc(-x / sqrt(2)),
+    so no output depends on the SIMD code numpy dispatches to."""
+    rng = np.random.default_rng(14)
+    p = np.concatenate([rng.uniform(0.0, 1.0, 200_000), 10.0 ** rng.uniform(-300, 0, 150_000),
+                        1.0 - 10.0 ** rng.uniform(-16, 0, 150_000), [1e-300, 0.5, 1.0 - 2.0**-53]])
+    p = p[(p > 0.0) & (p < 1.0)]
+    assert p.size >= 500_000
+    inv_cdf = NormalDist().inv_cdf
+    np.testing.assert_array_equal(std_normal_quantile(p), [inv_cdf(v) for v in p.tolist()], strict=True)
+    x = np.concatenate([rng.uniform(-38.0, 9.0, 100_000), 4.0 * rng.standard_normal(100_000)])
+    np.testing.assert_array_equal(std_normal_cdf(x), [0.5 * math.erfc(-v / math.sqrt(2)) for v in x.tolist()])
 
 
 def test_std_normal_kernels_edges_raise_no_warning():
