@@ -98,39 +98,50 @@ def inverse_maps(table, rows, p) -> np.ndarray:
     level: len(rows) x len(p).
 
     ``table`` has the fields `check_knots` validates, as an `IsotonicMap`
-    and a `CalibratedForecaster` do. A knot is keyed by the complex
-    number (map index) + 1j * value, which numpy orders
-    lexicographically, so each level is located within its own map only.
-    Maps are searched in blocks of at most `_BLOCK` map-level pairs, which
-    bounds the temporaries.
+    and a `CalibratedForecaster` do. A level's knot within its map is
+    found by counting the map's values below it: the levels are sorted
+    once, each knot's value is searched among them for the first level
+    above it, and one `np.bincount` of (map, that level) and a `np.cumsum`
+    along the levels give every map's count at every level. Maps are
+    inverted in blocks of at most `_BLOCK` map-level pairs, which bounds
+    the temporaries.
     """
     p_in = np.asarray(p, dtype=np.float64)
     if np.any(p_in < 0.0) or np.any(p_in > 1.0) or not np.all(np.isfinite(p_in)):
         raise ValueError(f"inversion level outside [0, 1]: {p!r}")
     p_arr = np.atleast_1d(p_in)
     vals, bp, starts = table.values, table.breakpoints, np.asarray(table.starts)
-    ends = np.r_[starts[1:], vals.size]
-    keys = np.repeat(np.arange(starts.size), ends - starts) + 1j * vals
+    sizes = np.diff(np.r_[starts, vals.size])
     rows = np.asarray(rows, dtype=np.intp)
-    out = np.empty((rows.size, p_arr.size))
-    per_block = max(1, _BLOCK // p_arr.size)
-    for first in range(0, rows.size, per_block):
+    n = p_arr.size
+    out = np.empty((rows.size, n))
+    order = np.argsort(p_arr, kind="stable")
+    levels = p_arr[order]
+    per_block = max(1, _BLOCK // max(n, 1))
+    for first in range(0, rows.size if n else 0, per_block):  # no levels, no blocks
         ids = rows[first:first + per_block]
-        g = np.searchsorted(keys, ids[:, None] + 1j * p_arr[None, :], side="left")
-        j = g - starts[ids, None]
-        block = np.where(j == 0, 0.0, 1.0)
-        r, c = np.nonzero((j > 0) & (g < ends[ids, None]))
-        gi = g[r, c]
-        v_lo, b_lo, b_hi = vals[gi - 1], bp[gi - 1], bp[gi]
-        frac = (p_arr[c] - v_lo) / (vals[gi] - v_lo)
-        linear = b_lo + frac * (b_hi - b_lo)
-        # Rounding can leave the point short of the level's fraction of the
-        # segment, where the map is still under the level (on a segment a
-        # few ulps wide, far under it): step once toward the right knot.
-        short = (linear - b_lo) / (b_hi - b_lo) < frac
-        linear[short] = np.nextafter(linear[short], b_hi[short])
-        block[r, c] = b_hi if table.interpolation == "step" else linear
-        out[first:first + ids.size] = block
+        size = sizes[ids]
+        ends = np.cumsum(size)  # the block's knots, map by map
+        knots = np.arange(ends[-1]) + np.repeat(starts[ids] - ends + size, size)
+        above = np.searchsorted(levels, vals[knots], side="right")  # first level above each knot
+        bins = np.repeat(np.arange(ids.size) * (n + 1), size) + above
+        counts = np.bincount(bins, minlength=ids.size * (n + 1)).reshape(ids.size, n + 1)
+        j = np.cumsum(counts[:, :n], axis=1)  # each map's values below each level
+        inside = (j > 0) & (j < size[:, None])
+        g = np.where(inside, starts[ids, None] + j, 0)  # the knot at or above the level
+        b_hi = bp[g]
+        if table.interpolation == "step":
+            block = b_hi
+        else:
+            v_lo, b_lo = vals[g - 1], bp[g - 1]
+            frac = (levels - v_lo) / np.where(inside, vals[g] - v_lo, 1.0)
+            linear = b_lo + frac * (b_hi - b_lo)
+            # Rounding can leave the point short of the level's fraction of the
+            # segment, where the map is still under the level (on a segment a
+            # few ulps wide, far under it): step once toward the right knot.
+            short = (linear - b_lo) / np.where(inside, b_hi - b_lo, 1.0) < frac
+            block = np.where(short, np.nextafter(linear, b_hi), linear)
+        out[first:first + ids.size, order] = np.where(inside, block, np.where(j == 0, 0.0, 1.0))
     return out
 
 

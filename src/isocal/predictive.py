@@ -10,9 +10,10 @@ through `forecast_arrays`. Every operation is pure, so instances can be
 shared freely across threads.
 
 Every stage, `synth` included, calls the standard normal CDF (libm's
-``erfc``) and quantile (CPython's ``NormalDist().inv_cdf``, Wichura's
-AS241 in C) defined here, value by value, so neither depends on which
-SIMD code numpy dispatches to on the host.
+``erfc``, value by value) and quantile defined here. The quantile's
+central branch is numpy +, -, * and / in the order of CPython's C, its
+tails ``NormalDist().inv_cdf``, so it equals ``inv_cdf`` bit for bit and
+neither function depends on which SIMD code numpy dispatches to.
 """
 
 from __future__ import annotations
@@ -39,18 +40,56 @@ __all__ = [
     "forecast_fields",
 ]
 
-_MAP_BLOCK = 1 << 14  # values per step of `_scalar_map`, whose list holds 32 bytes a value
+_MAP_BLOCK = 1 << 14  # values per step of `_blockwise`, which bounds each kernel's temporaries
 _SQRT2 = math.sqrt(2.0)
+_INV_CDF = NormalDist().inv_cdf
+# AS241's central branch as in CPython's C: numerator and denominator
+# coefficients, highest power of r = 0.180625 - q * q first.
+_CENTRAL_NUM = (2.5090809287301226727e+3, 3.3430575583588128105e+4, 6.7265770927008700853e+4,
+                4.5921953931549871457e+4, 1.3731693765509461125e+4, 1.9715909503065514427e+3,
+                1.3314166789178437745e+2, 3.3871328727963666080e+0)
+_CENTRAL_DEN = (5.2264952788528545610e+3, 2.8729085735721942674e+4, 3.9307895800092710610e+4,
+                2.1213794301586595867e+4, 5.3941960214247511077e+3, 6.8718700749205790830e+2,
+                4.2313330701600911252e+1, 1.0)
 
 
-def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
-    """``fn`` of every value of the float64 array ``x``, in its shape."""
+def _blockwise(kernel, x: np.ndarray) -> np.ndarray:
+    """``kernel`` of the float64 array ``x``, in its shape, applied to one
+    1-d block of at most `_MAP_BLOCK` values at a time."""
     flat = x.reshape(-1)
     out = np.empty(flat.shape)
     for start in range(0, flat.size, _MAP_BLOCK):
-        block = flat[start:start + _MAP_BLOCK]
-        out[start:start + _MAP_BLOCK] = np.fromiter(map(fn, block.tolist()), np.float64, block.size)
+        out[start:start + _MAP_BLOCK] = kernel(flat[start:start + _MAP_BLOCK])
     return out.reshape(x.shape)
+
+
+def _scalar_map(fn, block: np.ndarray) -> np.ndarray:
+    """``fn`` of every value of a 1-d block, one Python call each."""
+    return np.fromiter(map(fn, block.tolist()), np.float64, block.size)
+
+
+def _horner(coeffs, r: np.ndarray) -> np.ndarray:
+    """The polynomial ``coeffs`` at r by Horner's rule, in place."""
+    acc = np.full_like(r, coeffs[0])
+    for c in coeffs[1:]:
+        acc *= r
+        acc += c
+    return acc
+
+
+def _quantile_block(p: np.ndarray) -> np.ndarray:
+    """`std_normal_quantile` of a 1-d block."""
+    q = p - 0.5
+    off = ~(np.abs(q) <= 0.425)  # off the central branch, NaN included
+    q[off] = 0.0  # keeps the central polynomials finite there
+    r = 0.180625 - q * q
+    x = _horner(_CENTRAL_NUM, r) * q / _horner(_CENTRAL_DEN, r)
+    x[off] = np.nan
+    tails = off & (p > 0.0) & (p < 1.0)
+    x[tails] = _scalar_map(_INV_CDF, p[tails])
+    x[p == 0.0] = -np.inf
+    x[p == 1.0] = np.inf
+    return x
 
 
 def std_normal_cdf(x):
@@ -62,25 +101,21 @@ def std_normal_cdf(x):
     or arrays: a scalar gives a numpy scalar, and x = -inf / +inf give 0 / 1.
     """
     z = np.negative(x, dtype=np.float64) / _SQRT2
-    return 0.5 * _scalar_map(math.erfc, z)
+    return 0.5 * _blockwise(lambda block: _scalar_map(math.erfc, block), z)
 
 
 def std_normal_quantile(p):
-    """Standard normal quantile (inverse CDF): ``NormalDist().inv_cdf``.
+    """Standard normal quantile (inverse CDF), bit for bit ``NormalDist().inv_cdf``.
 
-    CPython computes it by Wichura's AS241 (PPND16, Applied Statistics 37,
-    1988) in C; relative error is about 1e-16 for p down to 1e-300.
-    Accepts scalars or arrays: a scalar gives a numpy scalar. p = 0 gives
-    -inf, p = 1 gives inf, and p outside [0, 1] or NaN gives NaN, all
-    without a floating-point warning.
+    Wichura's AS241 (PPND16, Applied Statistics 37, 1988), relative error
+    about 1e-16 for p down to 1e-300. The central branch, |p - 0.5| <=
+    0.425, is numpy arithmetic in the order of CPython's C with its
+    coefficients: only +, -, * and /, each correctly rounded on every host.
+    The tails call ``inv_cdf`` value by value. Accepts scalars or arrays: a
+    scalar gives a numpy scalar. p = 0 gives -inf, p = 1 gives inf, and p
+    outside [0, 1] or NaN gives NaN, all without a floating-point warning.
     """
-    p = np.asarray(p, dtype=np.float64)
-    out = np.full(p.shape, np.nan)
-    inside = (p > 0.0) & (p < 1.0)
-    out[inside] = _scalar_map(NormalDist().inv_cdf, p[inside])
-    out[p == 0.0] = -np.inf
-    out[p == 1.0] = np.inf
-    return out[()]
+    return _blockwise(_quantile_block, np.asarray(p, dtype=np.float64))[()]
 
 
 def forecast_arrays(axes: int, means=None, stds=None, samples=None) -> dict[str, np.ndarray]:

@@ -107,6 +107,32 @@ def knot_table(maps, interpolation=None):
             np.cumsum([0] + sizes[:-1]), modes.pop())
 
 
+def inverse_maps_complex(table, rows, p) -> np.ndarray:
+    """The generalized inverses of the maps ``rows`` of a knot table at the
+    levels ``p`` (len(rows) x len(p)), located by one complex ``searchsorted``:
+    a knot is keyed by (map index) + 1j * value, which numpy orders
+    lexicographically, so each level is located within its own map only.
+    The reference for `isotonic.inverse_maps`, whose counting search must
+    find the same knots; the arithmetic after the search is the same."""
+    p_arr = np.atleast_1d(np.asarray(p, dtype=np.float64))
+    vals, bp, starts = table.values, table.breakpoints, np.asarray(table.starts)
+    ends = np.r_[starts[1:], vals.size]
+    keys = np.repeat(np.arange(starts.size), ends - starts) + 1j * vals
+    ids = np.asarray(rows, dtype=np.intp)
+    g = np.searchsorted(keys, ids[:, None] + 1j * p_arr[None, :], side="left")
+    j = g - starts[ids, None]
+    out = np.where(j == 0, 0.0, 1.0)
+    r, c = np.nonzero((j > 0) & (g < ends[ids, None]))
+    gi = g[r, c]
+    v_lo, b_lo, b_hi = vals[gi - 1], bp[gi - 1], bp[gi]
+    frac = (p_arr[c] - v_lo) / (vals[gi] - v_lo)
+    linear = b_lo + frac * (b_hi - b_lo)
+    short = (linear - b_lo) / (b_hi - b_lo) < frac  # rounded short of the crossing
+    linear[short] = np.nextafter(linear[short], b_hi[short])
+    out[r, c] = b_hi if table.interpolation == "step" else linear
+    return out
+
+
 def model_doc(cf) -> dict:
     """The model JSON document of a fitted ``CalibratedForecaster``, as the
     dict whose ``json.dumps`` is its model file."""

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isocal.isotonic import IsotonicMap, evaluate_map, fit_isotonic
+from isocal.isotonic import IsotonicMap, evaluate_map, fit_isotonic, inverse_maps
 
 import oracles
 
@@ -140,6 +140,13 @@ def test_inverse_rejects_out_of_range():
     m = fit_isotonic([0.5], [0.5])
     with pytest.raises(ValueError):
         m.inverse(1.2)
+
+
+def test_inverse_of_no_levels_is_empty():
+    m = IsotonicMap([0.2, 0.6], [0.3, 0.8])
+    assert m.inverse(np.array([])).shape == (0,)
+    assert m.evaluate(np.array([])).shape == (0,)
+    assert inverse_maps(m, [0, 0, 0], []).shape == (3, 0)
 
 
 def test_map_validation():

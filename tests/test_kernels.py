@@ -6,13 +6,16 @@ quantile, one map at a time for the inverse. Kernels must match them to
 1e-12 (bit for bit where the arithmetic is unchanged).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isocal import isotonic
 from isocal.gridio import ForecastSeries, GridSeries
-from isocal.isotonic import IsotonicMap, inverse_maps
+from isocal.isotonic import INTERPOLATION_MODES, IsotonicMap, inverse_maps
 from isocal.metrics import (
     SHARPNESS_GRID,
     calibration_error,
@@ -170,6 +173,32 @@ def test_batched_inverse_spans_several_blocks():
         cf = CalibratedForecaster("per_cell", *oracles.knot_table(group), h=1, w=len(group))
         expected = [[ref_inverse(m, pi) for pi in p] for m in group]
         assert np.array_equal(inverse_maps(cf, np.arange(len(group)), p), expected)
+
+
+# Knots and levels on a coarse grid (flat runs, exact 0s and 1s, levels on
+# knot values) or anywhere in [0, 1] (segments a few ulps wide).
+unit_values = st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, 20).map(lambda k: k / 20.0),
+                        st.floats(0.0, 1.0))
+
+
+@given(st.sampled_from(INTERPOLATION_MODES),
+       st.lists(st.lists(unit_values, min_size=1, max_size=10), min_size=1, max_size=6), st.data())
+@settings(max_examples=200, deadline=None)
+def test_counting_inverse_matches_the_complex_key_search(mode, knot_lists, data):
+    maps = []
+    for knots in knot_lists:  # one-knot maps too
+        bp = np.unique(knots)
+        vals = np.sort(data.draw(st.lists(unit_values, min_size=bp.size, max_size=bp.size)))
+        maps.append(IsotonicMap(bp, vals, mode))
+    cf = CalibratedForecaster("per_cell", *oracles.knot_table(maps), h=1, w=len(maps))
+    on_knots = st.sampled_from(cf.values.tolist())
+    p = np.array(data.draw(st.permutations(data.draw(st.lists(st.one_of(unit_values, on_knots),
+                                                              max_size=12)) + [0.0, 1.0])))
+    rows = np.array(data.draw(st.lists(st.integers(0, len(maps) - 1), min_size=1, max_size=12)))
+    with mock.patch.object(isotonic, "_BLOCK", data.draw(st.integers(1, 3 * p.size))):
+        got = inverse_maps(cf, rows, p)  # in one block or in several
+    want = oracles.inverse_maps_complex(cf, rows, p)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def _metrics(cols, obs, cf=None):

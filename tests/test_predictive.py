@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 from statistics import NormalDist
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isocal
+from isocal import predictive
 from isocal.gridio import ForecastSeries
 from isocal.predictive import (Empirical, ForecastColumns, Gaussian, cdf, forecast_fields, per_kind,
                                quantile, std_normal_cdf, std_normal_quantile, variance)
@@ -306,6 +308,51 @@ def test_std_normal_kernels_are_the_standard_library_functions():
     np.testing.assert_array_equal(std_normal_quantile(p), [inv_cdf(v) for v in p.tolist()], strict=True)
     x = np.concatenate([rng.uniform(-38.0, 9.0, 100_000), 4.0 * rng.standard_normal(100_000)])
     np.testing.assert_array_equal(std_normal_cdf(x), [0.5 * math.erfc(-v / math.sqrt(2)) for v in x.tolist()])
+
+
+def _inv_cdf_or_edge(v: float) -> float:
+    """`std_normal_quantile`'s contract for one level: ``inv_cdf`` inside
+    (0, 1), -inf at 0, inf at 1 and NaN elsewhere."""
+    return NormalDist().inv_cdf(v) if 0.0 < v < 1.0 else {0.0: -math.inf, 1.0: math.inf}.get(v, math.nan)
+
+
+def test_std_normal_quantile_branch_edges_are_inv_cdf():
+    """Levels a few ulps either side of 0.075 and 0.925, where AS241 leaves
+    its central branch (|p - 0.5| <= 0.425) for the tails."""
+    p = np.array([x for edge in (0.075, 0.925) for x in (edge, np.nextafter(edge, 0.0),
+                                                         np.nextafter(edge, 1.0))])
+    for _ in range(2):
+        p = np.unique(np.concatenate([p, np.nextafter(p, 0.0), np.nextafter(p, 1.0)]))
+    central = np.abs(p - 0.5) <= 0.425
+    assert central.any() and not central.all()
+    np.testing.assert_array_equal(std_normal_quantile(p), [_inv_cdf_or_edge(v) for v in p.tolist()],
+                                  strict=True)
+
+
+def test_std_normal_quantile_table_across_blocks_is_inv_cdf():
+    """A 2-d table longer than one block, mixing both branches with the edges."""
+    rng = np.random.default_rng(15)
+    p = np.concatenate([rng.uniform(0.0, 1.0, 20_000), 10.0 ** rng.uniform(-300, 0, 1_000),
+                        [0.0, 1.0, np.nan, -0.5, 1.5, -np.inf, np.inf, 1e308, -1e308] * 50])
+    p = rng.permutation(p).reshape(3, -1)
+    assert p.size > predictive._MAP_BLOCK
+    want = np.reshape([_inv_cdf_or_edge(v) for v in p.ravel().tolist()], p.shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(std_normal_quantile(p), want, strict=True)
+
+
+def test_std_normal_quantile_memory_is_bounded_by_its_blocks():
+    """The whole table is never a temporary: a 256 x 512 table (the per-cell
+    sharpness table) peaks within 4x its bytes plus 1 MB."""
+    p = np.tile((np.arange(512) + 0.5) / 512, (256, 1))
+    tracemalloc.start()
+    try:
+        std_normal_quantile(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * p.nbytes + 2**20
 
 
 def test_std_normal_kernels_edges_raise_no_warning():
