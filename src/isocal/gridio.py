@@ -23,22 +23,22 @@ those bytes, as text mode would turn them (a CR byte is never part of a
 UTF-8 sequence), so a CRLF file reads like its LF copy. Only the header
 is decoded up front.
 
-Fields follow Python's ``int`` (keys) and ``float`` (values) syntax. A
-file whose data lines hold only the bytes a written file holds
-(`_CANONICAL`) is parsed by numpy's C reader straight from the file's
-bytes, with no list of lines; every other file, and any file that
-reader cannot take cleanly, is decoded and goes to the line-by-line
-reader. Both give the same arrays bit for bit, and every error on a line
-comes from the line-by-line reader.
+Fields follow Python's ``int`` (keys) and ``float`` (values) syntax, and
+numpy parses every valid file: a body of `_CANONICAL` bytes, the bytes a
+written file holds, goes to its C parser straight from the file's bytes,
+with no list of lines; any other body is decoded and read with ``int``
+and ``float`` converters. A file numpy refuses, or whose columns hold a
+forbidden value or a repeated key, goes to the line-by-line reader, which
+only names the first bad line: every error on a line comes from it.
 
 A bad file reports one error. A wrong field count on any line is found
 before any value is parsed; otherwise the earliest line with a problem
 wins, and within that line the leftmost bad column (a byte that is not
 UTF-8 makes its field bad), then a nonpositive ``std``, then a duplicate
-key. Errors about the grid as a whole (fewer
-than two ensemble members, a missing point) come after every line error
-and name no line. Completeness is checked on the sorted keys before the
-dense grid is allocated, so a stray index costs no memory.
+key. Errors about the grid as a whole (fewer than two ensemble members,
+a missing point) come after every line error and name no line.
+Completeness is checked on the sorted keys before the dense grid is
+allocated, so a stray index costs no memory.
 """
 
 from __future__ import annotations
@@ -91,13 +91,19 @@ class ParseError(ValueError):
 
 def _time_axis(times, n_slices: int, what: str) -> tuple[int, ...]:
     """``times`` as ints, one per slice and strictly increasing."""
-    times = tuple(int(t) for t in times)
+    times = tuple(times)
     if len(times) != n_slices:
         raise ValueError(f"{len(times)} times for {n_slices} {what} slices")
-    for i in range(1, len(times)):
-        if times[i] <= times[i - 1]:
-            raise ValueError(f"out-of-order times: {times[i]} at position {i} follows {times[i - 1]}")
-    return times
+    for i, t in enumerate(times):
+        try:
+            integral = int(t) == t
+        except (TypeError, ValueError, OverflowError):
+            integral = False
+        if not integral:
+            raise ValueError(f"non-integer time {t!r} at position {i}")
+        if i and t <= times[i - 1]:
+            raise ValueError(f"out-of-order times: {int(t)} at position {i} follows {int(times[i - 1])}")
+    return tuple(map(int, times))
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,93 +198,69 @@ def _flagged(col: np.ndarray, name: str, is_key: bool, nan_ok: bool) -> np.ndarr
     return flagged
 
 
-def _parse_column(tokens: list[str], name: str, is_key: bool, nan_ok: bool):
-    """Convert one column with ``int`` (keys) or ``float`` (values).
-
-    Returns the values before the column's first bad token and that
-    token's error message, or all values and None.
-    """
-    convert, dtype = (int, np.int64) if is_key else (float, np.float64)
-    error = None
+def _field(token: str, name: str, is_key: bool, nan_ok: bool):
+    """A field read as an int64 key or a float value; a `ValueError` says what is wrong with it."""
     try:
-        col = np.fromiter(map(convert, tokens), dtype, len(tokens))
+        value = np.int64(int(token)) if is_key else float(token)
     except (ValueError, OverflowError):
-        for bad, token in enumerate(tokens):
-            try:
-                dtype(convert(token))
-            except (ValueError, OverflowError):
-                break
-        col = np.fromiter(map(convert, tokens[:bad]), dtype, bad)
-        error = f"invalid {name}: {tokens[bad]!r}"
-    first = np.flatnonzero(_flagged(col, name, is_key, nan_ok))
-    if first.size:
-        bad = first[0]
-        value = col[bad].item()
-        if is_key:
-            error = f"negative {name}: {value}"
-        elif math.isnan(value):
-            error = f"{name} may not be NaN"
-        elif math.isinf(value):
-            error = f"non-finite {name}: {tokens[bad]!r}"
-        else:
-            error = f"nonpositive std: {value}"
-        col = col[:bad]
-    return col, error
+        raise ValueError(f"invalid {name}: {token!r}") from None
+    if is_key and value < 0:
+        raise ValueError(f"negative {name}: {value}")
+    if not is_key and not math.isfinite(value) and not (nan_ok and math.isnan(value)):
+        raise ValueError(f"{name} may not be NaN" if math.isnan(value) else f"non-finite {name}: {token!r}")
+    if name == "std" and value <= 0.0:
+        raise ValueError(f"nonpositive std: {value}")
+    return value
 
 
-def _parse_lines(lines: list[str], key_names, value_names, nan_ok: bool):
-    """Parse data lines one token at a time with Python's ``int``/``float``.
+def _parse_lines(raw: bytes, start: int, key_names, value_names, nan_ok: bool):
+    """Parse the data lines of ``raw`` (from byte ``start`` on) one at a
+    time with ``int``/``float``: raise the first line error, in the module
+    docstring's order, or return one array per column. A byte that is not
+    UTF-8 decodes to a lone surrogate, which no field accepts."""
+    names = key_names + value_names
+    lines = [(lineno, line) for lineno, line in
+             enumerate(raw[start:].decode("utf-8", "surrogateescape").split("\n"), start=2) if line]
+    for lineno, line in lines:
+        if line.count(",") != len(names) - 1:
+            raise ParseError(f"expected {len(names)} fields, got {line.count(',') + 1}", line=lineno)
+    records, seen = [], {}
+    for lineno, line in lines:
+        try:
+            record = [_field(token, name, j < len(key_names), nan_ok)
+                      for j, (name, token) in enumerate(zip(names, line.split(",")))]
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        key = tuple(record[:len(key_names)])
+        if seen.setdefault(key, lineno) != lineno:
+            raise ParseError(f"duplicate entry for {_where(key_names, key)}, first seen on line {seen[key]}",
+                             line=lineno)
+        records.append(record)
+    return [np.array(col, np.int64 if j < len(key_names) else np.float64) for j, col in enumerate(zip(*records))]
 
-    This reader judges every file: it finds each error the module
-    docstring describes. Returns one array per column and the number n
-    of leading records that are good in every column, with the error of
-    record n (None if all are good).
-    """
-    n_fields = len(key_names) + len(value_names)
-    for lineno, line in enumerate(lines, start=2):
-        if line and line.count(",") != n_fields - 1:
-            raise ParseError(f"expected {n_fields} fields, got {line.count(',') + 1}", line=lineno)
-    lines = [line for line in lines if line]
-    tokens = ",".join(lines).split(",")
 
-    # Each column is parsed only up to the earliest bad line found so far,
-    # so the error kept is that line's leftmost one.
-    n, error, columns = len(lines), None, []
-    for j, name in enumerate(key_names + value_names):
-        col, col_error = _parse_column(tokens[j:n * n_fields:n_fields], name, j < len(key_names), nan_ok)
-        if col_error is not None:
-            n, error = len(col), col_error
-        columns.append(col)
-    return columns, n, error
-
-
-def _load_canonical(raw: bytes, start: int, key_names, value_names, nan_ok: bool):
-    """Parse the data lines of ``raw`` (from byte ``start`` on, LF line
-    ends) with numpy's C reader, or return None.
-
-    Only a body made of `_CANONICAL` bytes is tried: there numpy reads
-    each token as Python's ``int``/``float`` would. numpy streams the
-    lines from the buffer, skipping blank ones. Any warning, error or
-    forbidden value also returns None, so that `_parse_lines` reports it.
-    """
-    # Deleting the canonical bytes from the whole file leaves the header's
-    # letters, plus the body's leftovers if it has any.
-    if raw.translate(None, _CANONICAL) != raw[:start].translate(None, _CANONICAL):
-        return None
+def _load_numpy(raw: bytes, start: int, key_names, value_names):
+    """Parse the data lines of ``raw`` as `_parse_lines` does, with numpy's
+    ``loadtxt``, or return None if it raises or warns. numpy skips blank
+    lines. A body of `_CANONICAL` bytes goes to the C parser straight from
+    the buffer, where numpy reads each token as ``int``/``float`` would;
+    any other body is decoded and read with ``int``/``float`` converters."""
     dtype = np.dtype([(name, np.int64) for name in key_names] + [(name, np.float64) for name in value_names])
-    stream = io.BytesIO(raw)
-    stream.seek(start)
+    # Deleting the canonical bytes leaves just the header's letters when the body is canonical.
+    if raw.translate(None, _CANONICAL) == raw[:start].translate(None, _CANONICAL):
+        stream, converters = io.BytesIO(raw), None
+        stream.seek(start)
+    else:
+        stream = io.StringIO(raw[start:].decode("utf-8", "surrogateescape"))
+        converters = {j: int if j < len(key_names) else float for j in range(len(dtype.names))}
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(stream, dtype=dtype, delimiter=",", comments=None, ndmin=1, encoding="ascii")
+            table = np.loadtxt(stream, dtype=dtype, delimiter=",", comments=None, ndmin=1, encoding="ascii",
+                               converters=converters)
     except (ValueError, Warning):
         return None
-    columns = [table[name] for name in dtype.names]
-    for j, (name, col) in enumerate(zip(dtype.names, columns)):
-        if _flagged(col, name, j < len(key_names), nan_ok).any():
-            return None
-    return columns
+    return [table[name] for name in dtype.names]
 
 
 def _where(names, key) -> str:
@@ -286,11 +268,16 @@ def _where(names, key) -> str:
     return "(" + ", ".join(f"{'t' if name == 'time' else name}={v}" for name, v in zip(names, key)) + ")"
 
 
-def _data_lines(raw: bytes) -> list[str]:
-    """The lines after the header, decoded. A byte that is not UTF-8
-    decodes to a lone surrogate, which no field accepts, so it is reported
-    like any other bad token on its line."""
-    return raw.decode("utf-8", "surrogateescape").split("\n")[1:]
+def _key_order(columns, key_names, value_names, nan_ok: bool):
+    """The order that sorts the key columns and the keys in that order, or
+    None if a column holds a value its format forbids or a key repeats."""
+    keys = columns[:len(key_names)]
+    if any(_flagged(col, name, j < len(keys), nan_ok).any()
+           for j, (name, col) in enumerate(zip(key_names + value_names, columns))):
+        return None
+    order = np.lexsort(keys[::-1])
+    ordered = [key[order] for key in keys]
+    return None if np.logical_and.reduce([key[1:] == key[:-1] for key in ordered]).any() else (order, ordered)
 
 
 def _read_grid(path, headers: tuple[str, ...]):
@@ -317,26 +304,13 @@ def _read_grid(path, headers: tuple[str, ...]):
     if raw.count(b"\n", end) == len(raw) - end:  # nothing but line breaks after the header
         raise ParseError("no data records", line=2)
 
-    columns = _load_canonical(raw, end + 1, key_names, value_names, nan_ok)
-    error = None
-    if columns is None:
-        columns, n, error = _parse_lines(_data_lines(raw), key_names, value_names, nan_ok)
-    else:
-        n = len(columns[0])
-    keys = [col[:n] for col in columns[:len(key_names)]]
-
-    order = np.lexsort(keys[::-1])
-    ordered = [key[order] for key in keys]
-    repeats = order[1:][np.logical_and.reduce([key[1:] == key[:-1] for key in ordered])]
-    if repeats.size or error is not None:
-        linenos = [lineno for lineno, line in enumerate(_data_lines(raw), start=2) if line]
-        if repeats.size:
-            i = repeats.min()
-            key = [int(k[i]) for k in keys]
-            first = np.flatnonzero(np.logical_and.reduce([k == v for k, v in zip(keys, key)]))[0]
-            raise ParseError(f"duplicate entry for {_where(key_names, key)}, "
-                             f"first seen on line {linenos[first]}", line=linenos[i])
-        raise ParseError(error, line=linenos[n])
+    columns = _load_numpy(raw, end + 1, key_names, value_names)
+    sort = columns is not None and _key_order(columns, key_names, value_names, nan_ok)
+    if not sort:
+        columns = _parse_lines(raw, end + 1, key_names, value_names, nan_ok)
+        sort = _key_order(columns, key_names, value_names, nan_ok)
+    order, ordered = sort
+    keys, n = columns[:len(key_names)], len(order)
 
     new_time = np.r_[True, ordered[0][1:] != ordered[0][:-1]]
     times = ordered[0][new_time].tolist()

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import re
 import tracemalloc
@@ -307,6 +308,12 @@ class TestFirstError:
                                              r"first seen on line 2$"):
             self.read(tmp_path, fmt, records)
 
+    def test_bad_value_on_a_duplicate_line_wins(self, tmp_path, fmt):
+        rec, value_name = fmt.record, fmt.value_name
+        records = [rec(0, 0, 0, "1.0"), rec(0, 0, 1, "1.0"), rec(0, 0, 0, "abc")]
+        with pytest.raises(ParseError, match=f"^line 4: invalid {value_name}: 'abc'$"):
+            self.read(tmp_path, fmt, records)
+
     def test_bad_value_before_duplicate_wins(self, tmp_path, fmt):
         rec, value_name = fmt.record, fmt.value_name
         records = [rec(0, 0, 0, "1.0"), rec(0, 0, 1, "abc"), rec(0, 0, 2, "1.0"), rec(0, 0, 0, "1.0")]
@@ -361,6 +368,12 @@ class TestSeriesValidation:
         with pytest.raises(ValueError, match=r"^out-of-order times: 5 at position 2 follows 5$"):
             make((1, 5, 5), 3)
         assert make((1.0, 4), 2).times == (1, 4)
+        with pytest.raises(ValueError, match=r"^non-integer time 1\.5 at position 0$"):
+            make((1.5, 2.7), 2)
+        with pytest.raises(ValueError, match=r"^non-integer time inf at position 1$"):
+            make((0, math.inf), 2)
+        with pytest.raises(ValueError, match=r"^non-integer time nan at position 0$"):
+            make((math.nan, 1), 2)
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf])
     def test_grid_series_refuses_infinite_values(self, bad):
@@ -436,7 +449,7 @@ def test_tokens_read_as_python_int_and_float_read_them(tmp_path, text, expected)
 
 def _line_by_line_only():
     """Keep every file away from numpy's reader."""
-    return mock.patch.object(gridio, "_load_canonical", return_value=None)
+    return mock.patch.object(gridio, "_load_numpy", return_value=None)
 
 
 def test_canonical_files_skip_the_line_by_line_reader(tmp_path):
@@ -459,6 +472,19 @@ def test_canonical_files_skip_the_line_by_line_reader(tmp_path):
 def _numpy_reader_only():
     """Fail any read that reaches the line-by-line reader."""
     return mock.patch.object(gridio, "_parse_lines", side_effect=AssertionError("line-by-line path"))
+
+
+VALID_TOKEN_CASES = {name: case for name, case in TOKEN_CASES.items() if not isinstance(case[1], str)}
+
+
+@pytest.mark.parametrize("text, expected", VALID_TOKEN_CASES.values(), ids=VALID_TOKEN_CASES.keys())
+def test_valid_tokens_take_numpy_reader(tmp_path, text, expected):
+    """Fields that ``int``/``float`` accept are read by numpy, canonical or not."""
+    path = tmp_path / "grid.csv"
+    path.write_bytes(text.encode())
+    with _numpy_reader_only():
+        gs = read_observations(path)
+    assert (gs.times, gs.values.tobytes()) == (expected[0], np.array(expected[1]).tobytes())
 
 
 def _bits(result):
@@ -494,10 +520,12 @@ def test_blank_lines_and_missing_final_newline_take_numpy_reader(tmp_path, text)
 
 
 def test_duplicate_after_blank_line_names_file_lines_on_numpy_reader(tmp_path):
+    """numpy reads the file; its repeated key sends it to the line-by-line
+    reader, which names the lines."""
     path = tmp_path / "grid.csv"
     path.write_bytes(b"time,row,col,value\n0,0,0,1.0\n\n0,0,1,2.0\n\n0,0,0,3.0\n")
     message = "line 6: duplicate entry for (t=0, row=0, col=0), first seen on line 2"
-    for reader in (_line_by_line_only, _numpy_reader_only):
+    for reader in (_line_by_line_only, contextlib.nullcontext):
         with reader(), pytest.raises(ParseError) as info:
             read_observations(path)
         assert str(info.value) == message
