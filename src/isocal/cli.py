@@ -41,7 +41,7 @@ __all__ = ["main"]
 
 
 class UsageError(Exception):
-    """Bad flag combination or value, detected after argparse."""
+    """Bad flag, flag value or flag combination: exit 1."""
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -53,18 +53,10 @@ MAX_LEVELS = 1000
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse subclass using exit code 1 for usage errors."""
+    """argparse subclass whose refusals reach `main` as a `UsageError`."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:
-        raise argparse.ArgumentTypeError(f"must be positive: {text}")
-    return value
+        raise UsageError(message)
 
 
 def _parse_levels(spec: str) -> np.ndarray:
@@ -83,9 +75,8 @@ def _parse_levels(spec: str) -> np.ndarray:
         raise argparse.ArgumentTypeError(f"more than {MAX_LEVELS} levels: {spec!r}")
     try:
         return check_levels(levels)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"levels must be strictly increasing inside (0, 1): {spec!r}") from None
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}: {spec!r}") from None
 
 
 def _parse_grid(spec: str) -> tuple[int, int, int]:
@@ -93,8 +84,6 @@ def _parse_grid(spec: str) -> tuple[int, int, int]:
         h, w, t = (int(x) for x in spec.lower().split("x"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad grid spec (want HxWxT): {spec!r}") from None
-    if h < 1 or w < 1 or t < 1:
-        raise argparse.ArgumentTypeError(f"grid dims must be positive: {spec!r}")
     return h, w, t
 
 
@@ -103,8 +92,6 @@ def _parse_cell(spec: str) -> tuple[int, int]:
         r, c = (int(x) for x in spec.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad cell spec (want ROW,COL): {spec!r}") from None
-    if r < 0 or c < 0:
-        raise argparse.ArgumentTypeError(f"cell indices must be nonnegative: {spec!r}")
     return r, c
 
 
@@ -243,7 +230,7 @@ def cmd_reliability(args) -> int:
     targets = [(args.out, slice(None), (rows, cols))]  # (path, points, cell) per curve
     if args.cell:
         for r, c in args.cell:  # every cell is checked before any file is written
-            if not (r < gs.h and c < gs.w):
+            if not (0 <= r < gs.h and 0 <= c < gs.w):
                 raise ValueError(f"cell out of range: ({r}, {c}) for {gs.h}x{gs.w} grid")
             if not np.any((rows == r) & (cols == c)):
                 raise ValueError(f"cell ({r}, {c}) has no valid observations")
@@ -264,10 +251,7 @@ def cmd_synth(args) -> int:
                           k=args.k, seed=args.seed, grid=args.grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    try:
-        fs, gs = generate_gridded(cfg)
-    except MemoryError as exc:
-        raise ValueError(f"not enough memory: {exc}") from None
+    fs, gs = generate_gridded(cfg)
     gridio.write_forecasts(fs, args.out_forecasts)
     gridio.write_observations(gs, args.out_observations)
     print(f"forecasts: {args.out_forecasts} ({fs.kind}, {cfg.n} points)")
@@ -312,7 +296,7 @@ def _build_parser() -> _Parser:
     sy = sub.add_parser("synth", help="generate synthetic forecast/observation files")
     sy.add_argument("--n", type=int)
     sy.add_argument("--grid", type=_parse_grid, help="HxWxT gridded output")
-    sy.add_argument("--alpha", type=_positive_float, default=1.0,
+    sy.add_argument("--alpha", type=float, default=1.0,
                     help="dispersion ratio (reported std = alpha * true std)")
     sy.add_argument("--bias", type=float, default=0.0)
     sy.add_argument("--mode", choices=["gaussian_params", "sample_set"], default="gaussian_params")
@@ -325,15 +309,13 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    """Run one subcommand; each refusal is one stderr line and its exit code."""
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
+        args = _build_parser().parse_args(argv)
         _check_outputs(args)
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code or 0)
     except UsageError as exc:
         print(f"isocal: usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -345,6 +327,9 @@ def main(argv=None) -> int:
         return EXIT_PARSE
     except ValueError as exc:
         print(f"isocal: error: {exc}", file=sys.stderr)
+        return EXIT_COMPUTE
+    except MemoryError as exc:
+        print(f"isocal: error: not enough memory: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

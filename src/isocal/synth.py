@@ -106,6 +106,9 @@ class SynthConfig:
                 raise ValueError(f"alpha too large: {self.alpha} with bias {self.bias} (members would overflow)")
         if not (0 <= self.seed < 2**64):
             raise ValueError("seed must fit in 64 bits")
+        draws = 3 + (self.k if self.mode == "sample_set" else 0)  # counters per sample
+        if self.n * draws > int(_FIELD_PHASE_BASE):  # the last sample's block ends below the phases
+            raise ValueError(f"too many draws: {self.n} x {draws} = {self.n * draws} exceeds 2**62")
 
 
 def _true_means(cfg: SynthConfig) -> np.ndarray:
@@ -146,9 +149,7 @@ def _draw(cfg: SynthConfig) -> tuple[dict[str, np.ndarray], np.ndarray]:
     fstd = cfg.alpha * sigma
     if cfg.mode == "gaussian_params":
         return {"means": fmean, "stds": fstd}, observations
-    member_z = np.empty((n, kd))
-    for j in range(kd):
-        member_z[:, j] = _normals(cfg.seed, base + np.uint64(3 + j))
+    member_z = _normals(cfg.seed, base[:, None] + np.uint64(3) + np.arange(kd, dtype=np.uint64))
     return {"samples": np.sort(fmean[:, None] + fstd[:, None] * member_z, axis=1)}, observations
 
 

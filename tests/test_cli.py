@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import isocal.cli
 import isocal.recalibration
 from isocal.cli import _build_parser, main
 from isocal.isotonic import INTERPOLATION_MODES, IsotonicMap, inverse_maps
@@ -250,6 +251,22 @@ class TestEvaluateCommand:
         assert "CE (absolute)" in out
         assert "%" in out
 
+    def test_delta_from_a_zero_ce_is_not_a_number(self, tmp_path, capsys):
+        """Outcomes -1 and 1 around two N(0, 1) medians cover level 0.5
+        exactly, so the uncalibrated CE is 0 and its delta has no base."""
+        fit_fc, fit_obs = synth_files(tmp_path, "fit", n="200", alpha="2", seed="3")
+        model = tmp_path / "model.json"
+        assert run("calibrate", "--forecasts", fit_fc, "--observations", fit_obs, "--out", model) == 0
+        fc, obs, report = tmp_path / "fc.csv", tmp_path / "obs.csv", tmp_path / "report.json"
+        fc.write_text("time,row,col,mean,std\n0,0,0,0.0,1.0\n1,0,0,0.0,1.0\n")
+        obs.write_text("time,row,col,value\n0,0,0,-1.0\n1,0,0,1.0\n")
+        capsys.readouterr()
+        assert run("evaluate", "--forecasts", fc, "--observations", obs, "--model", model,
+                   "--levels", "0.5", "--human", "--out", report) == 0
+        assert capsys.readouterr().out.splitlines()[1] == \
+            "CE (absolute)                0             0  (n/a)"
+        assert json.loads(report.read_text())["deltas_pct"]["ce"] is None
+
     @pytest.mark.parametrize("mode", ["gaussian_params", "sample_set"])
     def test_identity_model_changes_nothing(self, tmp_path, mode):
         fc, obs = synth_files(tmp_path, mode, grid="4x4x30", alpha="2", seed="2", mode=mode, k="20")
@@ -313,7 +330,8 @@ class TestEvaluateCommand:
     def test_nan_level_is_usage_error(self, alpha2_files, capsys, levels):
         assert run("evaluate", "--forecasts", alpha2_files / "test_fc.csv",
                    "--observations", alpha2_files / "test_obs.csv", "--levels", levels) == 1
-        assert "levels must be strictly increasing inside (0, 1)" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("isocal: usage error: argument --levels: "
+                                           f"levels must lie strictly inside (0, 1): {levels!r}\n")
 
     def test_level_count_is_capped(self, alpha2_files, capsys):
         assert run("evaluate", "--forecasts", alpha2_files / "test_fc.csv",
@@ -603,6 +621,100 @@ class TestUsage:
         variant = options["evaluate", "ce_variant"]
         assert tuple(variant.choices) == CE_VARIANTS
         assert variant.default == signature(calibration_error).parameters["variant"].default
+
+
+@pytest.fixture(scope="module")
+def refusal_inputs(tmp_path_factory):
+    """A 3x3x40 Gaussian grid with a model fitted to it, a one-member
+    ensemble file and two model files with a bad field."""
+    base = tmp_path_factory.mktemp("refusals")
+    fc, obs, model = base / "fc.csv", base / "obs.csv", base / "model.json"
+    assert run("synth", "--grid", "3x3x40", "--alpha", "2", "--seed", "4",
+               "--out-forecasts", fc, "--out-observations", obs) == 0
+    assert run("calibrate", "--forecasts", fc, "--observations", obs, "--out", model) == 0
+    (base / "one_member.csv").write_text("time,row,col,sample_idx,value\n0,0,0,0,1.0\n")
+    doc = json.loads(model.read_text())
+    (base / "h_float.json").write_text(json.dumps({**doc, "h": 1.5}))
+    (base / "maps_dict.json").write_text(json.dumps({**doc, "maps": {}}))
+    return base
+
+
+SYNTH = ("synth", "--out-forecasts", "{out}/f.csv", "--out-observations", "{out}/o.csv")
+SCORE = ("--forecasts", "{in}/fc.csv", "--observations", "{in}/obs.csv")
+EVALUATE = ("evaluate", *SCORE, "--out", "{out}/report.json")
+RELIABILITY = ("reliability", *SCORE, "--out", "{out}/curve.csv")
+
+# Every refusal: its argv, exit code and its one stderr line after "isocal: ".
+# A line ending in " ..." is a prefix: the listing of choices after it is
+# argparse's own and its spelling varies between Python versions.
+REFUSALS = {
+    "missing --observations": (("evaluate", "--forecasts", "{in}/fc.csv"), 1,
+                               "usage error: the following arguments are required: --observations"),
+    "unknown subcommand": (("frobnicate",), 1,
+                           "usage error: argument subcommand: invalid choice: 'frobnicate' ..."),
+    "alpha x": ((*SYNTH, "--n", "5", "--alpha", "x"), 1,
+                "usage error: argument --alpha: invalid float value: 'x'"),
+    "alpha 0": ((*SYNTH, "--n", "5", "--alpha", "0"), 1, "usage error: alpha must be positive: 0.0"),
+    "alpha nan": ((*SYNTH, "--n", "5", "--alpha", "nan"), 1, "usage error: alpha must be positive: nan"),
+    "grid 0x2x3": ((*SYNTH, "--grid", "0x2x3"), 1, "usage error: grid dims must be positive: (0, 2, 3)"),
+    "grid 2x3": ((*SYNTH, "--grid", "2x3"), 1,
+                 "usage error: argument --grid: bad grid spec (want HxWxT): '2x3'"),
+    "k 2**70": ((*SYNTH, "--n", "1", "--mode", "sample_set", "--k", str(2**70)), 1,
+                f"usage error: too many draws: 1 x {2**70 + 3} = {2**70 + 3} exceeds 2**62"),
+    "cell 1": ((*RELIABILITY, "--cell", "1"), 1,
+               "usage error: argument --cell: bad cell spec (want ROW,COL): '1'"),
+    "cell -1,0": ((*RELIABILITY, "--cell=-1,0"), 3, "error: cell out of range: (-1, 0) for 3x3 grid"),
+    "cell 9,9": ((*RELIABILITY, "--cell", "9,9"), 3, "error: cell out of range: (9, 9) for 3x3 grid"),
+    "levels 1:2": ((*EVALUATE, "--levels", "1:2"), 1,
+                   "usage error: argument --levels: bad levels spec: '1:2'"),
+    "levels a": ((*EVALUATE, "--levels", "a"), 1, "usage error: argument --levels: bad levels spec: 'a'"),
+    "levels 0:1:0": ((*EVALUATE, "--levels", "0:1:0"), 1,
+                     "usage error: argument --levels: bad levels spec: '0:1:0'"),
+    "levels 0.5:0.1:0.1": ((*EVALUATE, "--levels", "0.5:0.1:0.1"), 1, "usage error: argument --levels: "
+                           "levels must be a nonempty 1-d sequence: '0.5:0.1:0.1'"),
+    "levels 0.6,0.5": ((*EVALUATE, "--levels", "0.6,0.5"), 1,
+                       "usage error: argument --levels: levels must be strictly increasing: '0.6,0.5'"),
+    "one-member ensemble": (("calibrate", "--forecasts", "{in}/one_member.csv", "--observations",
+                             "{in}/obs.csv", "--out", "{out}/m.json"), 2,
+                            "parse error: ensemble files need at least 2 members per cell"),
+    "model h 1.5": ((*EVALUATE, "--model", "{in}/h_float.json"), 3,
+                    "error: model field 'h' must be an integer, got 1.5"),
+    "model maps {}": ((*EVALUATE, "--model", "{in}/maps_dict.json"), 3,
+                      "error: model field 'maps' must be a list"),
+}
+
+
+class TestEveryRefusalIsOneLine:
+    @staticmethod
+    def check(tmp_path, argv, code, line):
+        """Run argv; it exits with code, prints the one line, warns of
+        nothing and writes nothing."""
+        out = tmp_path / "out"
+        out.mkdir()
+        got, err = run_captured(*argv)
+        assert got == code
+        if line.endswith(" ..."):
+            assert err.startswith(f"isocal: {line[:-4]}") and err.count("\n") == 1
+        else:
+            assert err == f"isocal: {line}\n"
+        assert "Traceback" not in err and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("case", REFUSALS)
+    def test_refusal(self, refusal_inputs, tmp_path, case):
+        argv, code, line = REFUSALS[case]
+        argv = [a.replace("{in}", str(refusal_inputs)).replace("{out}", str(tmp_path / "out"))
+                for a in argv]
+        self.check(tmp_path, argv, code, line)
+
+    def test_memory_error_in_any_stage(self, refusal_inputs, tmp_path, monkeypatch):
+        def refuse(path):
+            raise MemoryError("Unable to allocate 7.11 PiB")
+
+        monkeypatch.setattr(isocal.cli, "read_forecasts", refuse)
+        self.check(tmp_path, ["calibrate", "--forecasts", refusal_inputs / "fc.csv",
+                              "--observations", refusal_inputs / "obs.csv",
+                              "--out", tmp_path / "out" / "m.json"],
+                   3, "error: not enough memory: Unable to allocate 7.11 PiB")
 
 
 class TestCliPathBuildsNoIsotonicMap:

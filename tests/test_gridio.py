@@ -356,6 +356,10 @@ class TestSeriesValidation:
         with pytest.raises(ValueError):
             GridSeries(times=(0,), values=np.zeros((2, 1, 1)))
 
+    def test_values_must_be_three_dimensional(self):
+        with pytest.raises(ValueError, match=r"^values must be a T x H x W array, got shape \(2, 2\)$"):
+            GridSeries(times=(0, 1), values=np.zeros((2, 2)))
+
     @pytest.mark.parametrize("make, what", [
         (lambda times, t: GridSeries(times=times, values=np.zeros((t, 1, 1))), "value"),
         (lambda times, t: ForecastSeries(times=times, means=np.zeros((t, 1, 1)),

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from isocal.isotonic import IsotonicMap, evaluate_map, fit_isotonic, inverse_maps
+from isocal.isotonic import IsotonicMap, check_knots, evaluate_map, fit_isotonic, inverse_maps
 
 import oracles
 
@@ -54,6 +54,8 @@ def test_fit_rejects_bad_input():
         fit_isotonic([-0.1], [0.5])
     with pytest.raises(ValueError):
         fit_isotonic([0.5], [0.5], weights=[0.0])
+    with pytest.raises(ValueError, match="^weights must match xs in length$"):
+        fit_isotonic([0.1, 0.2], [0.1, 0.2], weights=[1.0])
 
 
 def test_evaluate_identity_fit():
@@ -156,6 +158,8 @@ def test_map_validation():
         IsotonicMap([0.1, 0.5], [0.4, 0.2])  # values decreasing
     with pytest.raises(ValueError):
         IsotonicMap([0.1], [0.5], "spline")
+    with pytest.raises(ValueError, match="^breakpoints and values must be nonempty 1-d arrays of equal length$"):
+        check_knots([0.0, 1.0], [0.0], [0], "linear")
 
 
 @given(_instances(weighted=True))

@@ -324,7 +324,7 @@ def test_every_level_grid_is_checked_once(grid):
         spec = ",".join(map(repr, levels))
         with pytest.raises(argparse.ArgumentTypeError) as info:
             _parse_levels(spec)
-        assert str(info.value) == f"levels must be strictly increasing inside (0, 1): {spec!r}"
+        assert str(info.value) == f"{message}: {spec!r}"
 
 
 def test_checked_levels_are_a_read_only_copy():

@@ -188,6 +188,8 @@ def test_series_and_columns_keep_their_own_rules():
         ForecastSeries(times=(0,), samples=np.zeros((1, 1, 1, 1)))
     assert ForecastColumns(samples=[[3.0, 1.0, 2.0]]).samples.tolist() == [[1.0, 2.0, 3.0]]
     assert len(ForecastColumns(samples=np.zeros((0, 2)))) == 0
+    with pytest.raises(TypeError, match="^rows must be a slice or an array of row indices$"):
+        ForecastColumns(means=[0.0, 1.0], stds=[1.0, 1.0])[3]
 
 
 def test_gaussian_quantile_median():

@@ -515,6 +515,30 @@ class TestModelFile:
             load_model(path)
 
 
+def _model_file(tmp_path, **changes):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({**json.loads(model_to_json(identity_calibrator())), **changes}))
+    return path
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda _: CalibratedForecaster("per_cell", [0.0, 1.0], [0.0, 1.0], [0], h=0, w=2),
+     "per_cell scope needs positive grid dims"),
+    (lambda _: CalibratedForecaster("per_cell", [0.0, 1.0], [0.0, 1.0], [0], h=1, w=2),
+     "per_cell scope needs 2 map(s), got 1"),
+    (lambda _: fit_calibrator([Gaussian(0, 1)] * 3, GridSeries(times=(0,), values=np.zeros((1, 1, 3)))),
+     "forecasts and observations must both be flat or both gridded"),
+    (lambda _: central_interval(identity_calibrator(), Gaussian(0, 1), 1.0),
+     "interval level out of range: 1.0"),
+    (lambda tmp_path: load_model(_model_file(tmp_path, h=1.5)), "model field 'h' must be an integer, got 1.5"),
+    (lambda tmp_path: load_model(_model_file(tmp_path, maps={})), "model field 'maps' must be a list"),
+], ids=["no-grid-dims", "map-count", "flat-with-grid", "interval-level", "float-h", "maps-dict"])
+def test_refusal_names_its_rule(tmp_path, make, message):
+    with pytest.raises(ValueError) as info:
+        make(tmp_path)
+    assert str(info.value) == message
+
+
 class TestGridAlignment:
     def test_dimension_mismatch(self):
         fs = ForecastSeries(times=(0, 1), means=np.zeros((2, 2, 2)), stds=np.ones((2, 2, 2)))

@@ -156,6 +156,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SynthConfig(grid=(0, 2, 2))
 
+    @pytest.mark.parametrize("changes, message", [
+        ({"bias": float("inf")}, "bias must be finite"),
+        ({"seed": -1}, "seed must fit in 64 bits"),
+        ({"mode": "sample_set", "k": 2**70}, f"too many draws: 10 x {2**70 + 3} = {10 * (2**70 + 3)} exceeds 2**62"),
+        ({"n": 2**61}, f"too many draws: {2**61} x 3 = {3 * 2**61} exceeds 2**62"),
+    ], ids=["bias", "seed", "k", "n"])
+    def test_refusal_names_its_rule(self, changes, message):
+        with pytest.raises(ValueError) as info:
+            SynthConfig(**{"n": 10, **changes})
+        assert str(info.value) == message
+
+    def test_sample_counters_stay_below_the_field_phases(self):
+        """Sample i draws counters [i*b, (i+1)*b), b = 3 + k: the last block
+        may end at the phase region, 2**62, and not past it."""
+        assert SynthConfig(n=2**59, mode="sample_set", k=5).n * 8 == 2**62
+        with pytest.raises(ValueError, match=r"^too many draws: 1 x 4611686018427387905 = "):
+            SynthConfig(n=1, mode="sample_set", k=2**62 - 2)
+
     def test_ensemble_members_that_could_overflow_are_refused_at_the_boundary(self):
         """The largest alpha accepted in sample_set mode is the largest whose
         most extreme member, at the generator's most extreme normal, is finite."""
