@@ -27,13 +27,13 @@ INTERPOLATION_MODES = ("linear", "step")
 _BLOCK = 1 << 14
 
 
-def check_knots(breakpoints, values, starts, interpolation: str, name_maps: bool = True):
+def check_knots(breakpoints, values, starts, interpolation: str):
     """Validate a knot table: every map's knots concatenated, map-major,
     map i's from index ``starts[i]`` on. Each map needs a knot, strictly
     increasing breakpoints and nondecreasing values, all finite and in
-    [0, 1]; order is tested within each map only. A knot error names the
-    first bad map (``model map i: ...``) if ``name_maps``. Returns the
-    three arrays as read-only copies."""
+    [0, 1]; order is tested within each map only. A knot error of a table
+    of several maps names the first bad one (``model map i: ...``).
+    Returns the three arrays as read-only copies."""
     bp, vals, starts = (np.array(breakpoints, dtype=np.float64), np.array(values, dtype=np.float64),
                         np.array(starts))
     if bp.ndim != 1 or bp.size == 0 or bp.shape != vals.shape:
@@ -53,7 +53,7 @@ def check_knots(breakpoints, values, starts, interpolation: str, name_maps: bool
     ):
         if (flags := bad()).any():  # per knot, or per difference to the next knot
             i = np.searchsorted(starts, np.argmax(flags), side="right") - 1
-            raise ValueError(f"model map {i}: {rule}" if name_maps else rule)
+            raise ValueError(f"model map {i}: {rule}" if starts.size > 1 else rule)
     bp.flags.writeable = vals.flags.writeable = starts.flags.writeable = False
     return bp, vals, starts
 
@@ -73,8 +73,7 @@ class IsotonicMap:
     starts = (0,)  # a table of one map
 
     def __post_init__(self):
-        bp, vals, _ = check_knots(self.breakpoints, self.values, self.starts, self.interpolation,
-                                  name_maps=False)
+        bp, vals, _ = check_knots(self.breakpoints, self.values, self.starts, self.interpolation)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 

@@ -91,14 +91,14 @@ def coverage(quantile_bounds: Sequence[float], observations: Sequence[float]) ->
 
 def interval_coverage(lows, highs, observations) -> float:
     """Fraction of observations falling inside their [low, high] interval.
-    The bounds are 1-d, one pair per outcome (`paired_outcomes`); a
-    missing (NaN) outcome is never covered."""
+    The bounds are 1-d, one pair per outcome, and every outcome is finite
+    (`paired_outcomes`)."""
     lo, hi = (np.asarray(b, dtype=np.float64) for b in (lows, highs))
     if hi.ndim != 1:
         raise ValueError(f"bounds need ndim 1, got {hi.ndim}")
     if lo.shape != hi.shape:
         raise ValueError(f"lower bounds of shape {lo.shape} for upper bounds of shape {hi.shape}")
-    obs = paired_outcomes(hi, observations, missing_ok=True)
+    obs = paired_outcomes(hi, observations)
     return float(np.count_nonzero((obs >= lo) & (obs <= hi))) / obs.size
 
 
@@ -117,10 +117,9 @@ def reliability_curve(
     raw levels; no quantile is formed, and in-sample coverage is exact.
     """
     levels = check_levels(levels)
-    obs = paired_outcomes(forecasts, observations, missing_ok=True)
+    obs = paired_outcomes(forecasts, observations)
     raw, index, _, _ = (calibrator or IDENTITY).raw_levels(levels, cell, obs.size)
     below = per_kind(forecasts, lambda cols, y: cols.cdf(y, strict=True), obs)
-    below[np.isnan(obs)] = 1.0  # above every raw level: a missing outcome is never covered
     keys = np.sort(index + 1j * below)  # by map, then by P(X < y)
     maps = np.arange(len(raw))
     covered = (np.searchsorted(keys, maps[:, None] + 1j * raw, side="right")
@@ -179,7 +178,7 @@ def mae_mid_quantile(
     cell=None,
 ) -> float:
     """Mean absolute error of the (calibrated) median forecast."""
-    obs = paired_outcomes(forecasts, observations, missing_ok=False)
+    obs = paired_outcomes(forecasts, observations)
     raw, index, _, _ = (calibrator or IDENTITY).raw_levels([0.5], cell, obs.size)
     medians = per_kind(forecasts, lambda cols, rows: cols.quantiles(raw, rows)[:, 0], index)
     return float(np.mean(np.abs(obs - medians)))

@@ -370,10 +370,10 @@ def per_kind(forecasts, kernel, *per_forecast) -> np.ndarray:
     return np.concatenate(parts)[np.argsort(np.concatenate(list(groups.values())))]
 
 
-def paired_outcomes(forecasts, observations, missing_ok: bool) -> np.ndarray:
+def paired_outcomes(forecasts, observations) -> np.ndarray:
     """The outcomes of ``forecasts`` as a 1-d float64 array: one per
-    forecast, at least one, none infinite. NaN is a missing outcome and
-    passes only with ``missing_ok``. This is the one check of outcomes."""
+    forecast, at least one, all finite, so NaN too is refused (grids drop
+    missing outcomes in `grid_points`). This is the one check of outcomes."""
     obs = np.asarray(observations, dtype=np.float64)
     if obs.ndim != 1:
         raise ValueError(f"observations need ndim 1, got {obs.ndim}")
@@ -381,16 +381,14 @@ def paired_outcomes(forecasts, observations, missing_ok: bool) -> np.ndarray:
         raise ValueError(f"{len(forecasts)} forecasts for {obs.size} observations")
     if obs.size == 0:
         raise ValueError("no forecast/observation pairs")
-    if np.isinf(obs).any():
-        raise ValueError("invalid input value: infinite observation")
-    if not missing_ok and np.isnan(obs).any():
-        raise ValueError("invalid input value: NaN observation")
+    if not np.isfinite(obs).all():
+        raise ValueError(f"invalid input value: {'infinite' if np.isinf(obs).any() else 'NaN'} observation")
     return obs
 
 
 def cdf(d: PredictiveDist, y: float) -> float:
     """Probability the outcome does not exceed ``y`` under forecast ``d``."""
-    y = paired_outcomes([d], [y], missing_ok=False)
+    y = paired_outcomes([d], [y])
     return float(per_kind([d], ForecastColumns.cdf, y)[0])
 
 

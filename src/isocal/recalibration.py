@@ -84,7 +84,7 @@ def _pit_values(forecasts, observations) -> np.ndarray:
     """Each forecast's CDF value at its outcome, for a fit on at least 2 points."""
     if len(forecasts) < 2:
         raise ValueError("calibration set too small: need at least 2 points")
-    obs = paired_outcomes(forecasts, observations, missing_ok=False)
+    obs = paired_outcomes(forecasts, observations)
     return per_kind(forecasts, ForecastColumns.cdf, obs)
 
 

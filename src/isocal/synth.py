@@ -64,6 +64,11 @@ def _normals(seed: int, counters: np.ndarray) -> np.ndarray:
     return std_normal_quantile(_uniform_open(seed, counters))
 
 
+def _check_alpha(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0.0):
+        raise ValueError(f"alpha must be finite and positive: {alpha}")
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Configuration for one synthetic dataset.
@@ -90,8 +95,7 @@ class SynthConfig:
             object.__setattr__(self, "n", h * w * t)
         if self.n < 1:
             raise ValueError("n must be at least 1")
-        if not (math.isfinite(self.alpha) and self.alpha > 0.0):
-            raise ValueError(f"alpha must be positive: {self.alpha}")
+        _check_alpha(self.alpha)
         if not math.isfinite(self.alpha * STD_RANGE[1]):
             raise ValueError(f"alpha too large: {self.alpha} (the reported std would overflow)")
         if not math.isfinite(self.bias):
@@ -111,17 +115,16 @@ class SynthConfig:
             raise ValueError(f"too many draws: {self.n} x {draws} = {self.n * draws} exceeds 2**62")
 
 
-def _true_means(cfg: SynthConfig) -> np.ndarray:
-    """True means: uniform draws, or a smooth field in grid mode.
+def _true_means(cfg: SynthConfig, base: np.ndarray) -> np.ndarray:
+    """True means: uniform draws at each sample's counter ``base``, or a
+    smooth field in grid mode.
 
     Grid samples are ordered time-major, then row, then column. The field
     is a product of sinusoids in row and column plus a 12-step seasonal
     cycle, with phases drawn once from a reserved counter region.
     """
-    idx = np.arange(cfg.n, dtype=np.uint64)
-    stride = np.uint64(3 + (cfg.k if cfg.mode == "sample_set" else 0))
     if cfg.grid is None:
-        u = _uniform_open(cfg.seed, idx * stride)
+        u = _uniform_open(cfg.seed, base)
         lo, hi = MEAN_RANGE
         return lo + (hi - lo) * u
     h, w, t = cfg.grid
@@ -140,7 +143,7 @@ def _draw(cfg: SynthConfig) -> tuple[dict[str, np.ndarray], np.ndarray]:
     stride = np.uint64(3 + kd)
     base = np.arange(n, dtype=np.uint64) * stride
 
-    mu = _true_means(cfg)
+    mu = _true_means(cfg, base)
     lo, hi = STD_RANGE
     sigma = lo + (hi - lo) * _uniform_open(cfg.seed, base + np.uint64(1))
     observations = mu + sigma * _normals(cfg.seed, base + np.uint64(2))
@@ -186,8 +189,7 @@ def true_recalibration_map(alpha: float, p):
     what a consistent recalibrator must converge to. Levels must lie
     strictly inside (0, 1); accepts a scalar or an array of levels.
     """
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise ValueError(f"alpha must be positive: {alpha}")
+    _check_alpha(alpha)
     p_arr = np.asarray(p, dtype=np.float64)
     if not np.all((p_arr > 0.0) & (p_arr < 1.0)):
         raise ValueError(f"quantile level out of range: {p!r}")

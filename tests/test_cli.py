@@ -15,12 +15,22 @@ from hypothesis import strategies as st
 import isocal.cli
 import isocal.recalibration
 from isocal.cli import _build_parser, main
+from isocal.gridio import read_forecasts, read_observations
 from isocal.isotonic import INTERPOLATION_MODES, IsotonicMap, inverse_maps
-from isocal.metrics import CE_VARIANTS, calibration_error
+from isocal.metrics import (
+    CE_VARIANTS,
+    calibration_error,
+    coverage,
+    mae_mid_quantile,
+    reliability_curve,
+    sharpness,
+    write_reliability_csv,
+)
 from isocal.recalibration import (
     DEFAULT_MIN_POINTS_PER_CELL,
     IDENTITY,
     fit_calibrator,
+    grid_points,
     load_model,
     save_model,
 )
@@ -597,6 +607,55 @@ class TestReliabilityCommand:
         assert list(tmp_path.glob("c_cell*.csv")) == []
 
 
+class TestMissingObservations:
+    def test_grids_drop_missing_observations_before_any_scorer(self, tmp_path):
+        """On an evaluation grid with about 15 % of its observations blank,
+        `reliability` (pooled and per cell) and `evaluate` give what the
+        library gives on `grid_points`' valid points; the flat grid with its
+        NaN left in is refused by every scorer."""
+        fc, full = synth_files(tmp_path, "full", grid="3x3x60", alpha="2", seed="5")
+        model = tmp_path / "m.json"
+        assert run("calibrate", "--forecasts", fc, "--observations", full, "--scope", "per-cell",
+                   "--min-points-per-cell", "10", "--out", model) == 0
+        lines = full.read_text().splitlines()
+        blank = np.random.default_rng(0).uniform(size=len(lines) - 1) < 0.15
+        obs = tmp_path / "holes.csv"
+        obs.write_text("\n".join([lines[0]] + [line.rsplit(",", 1)[0] + ",NaN" if b else line
+                                               for line, b in zip(lines[1:], blank)]) + "\n")
+        forecasts, values, (rows, cols) = grid_points(read_forecasts(fc), read_observations(obs))
+        assert values.size == 540 - np.count_nonzero(blank) and 60 < np.count_nonzero(blank) < 100
+        cf, levels = load_model(model), [0.25, 0.5, 0.75]
+        files = ("--forecasts", fc, "--observations", obs, "--model", model, "--levels", "0.25,0.5,0.75")
+
+        assert run("reliability", *files, "--out", tmp_path / "c.csv", "--cell", "2,1") == 0
+        assert run("reliability", *files, "--out", tmp_path / "c.csv") == 0
+        here = (rows == 2) & (cols == 1)
+        for name, points, cell in (("c.csv", slice(None), (rows, cols)), ("c_cell2-1.csv", here, (2, 1))):
+            write_reliability_csv(reliability_curve(forecasts[points], values[points], levels, cf, cell),
+                                  tmp_path / "lib.csv")
+            assert (tmp_path / name).read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+        assert run("evaluate", *files, "--out", tmp_path / "r.json") == 0
+        report = json.loads((tmp_path / "r.json").read_text())
+        for block, calibrator in (("uncalibrated", None), ("calibrated", cf)):
+            curve = reliability_curve(forecasts, values, levels, calibrator, (rows, cols))
+            assert report[block] == {
+                "ce": calibration_error(curve, report["ce_variant"]),
+                "mae": mae_mid_quantile(forecasts, values, calibrator, (rows, cols)),
+                "sharpness": sharpness(forecasts, calibrator, (rows, cols)),
+                "coverage": dict(zip(("0.25", "0.5", "0.75"), curve.empirical.tolist())),
+            }
+
+        all_forecasts, _, all_cells = grid_points(read_forecasts(fc), read_observations(full))
+        flat = np.moveaxis(read_observations(obs).values, 0, -1).ravel()  # cell-major, as grid_points
+        for scorer in (lambda: reliability_curve(all_forecasts, flat, levels, cf, all_cells),
+                       lambda: mae_mid_quantile(all_forecasts, flat, cf, all_cells),
+                       lambda: fit_calibrator(all_forecasts, flat),
+                       lambda: coverage(np.zeros(flat.size), flat)):
+            with pytest.raises(ValueError, match="^invalid input value: NaN observation$"):
+                scorer()
+
+
 class TestUsage:
     def test_unknown_subcommand(self):
         assert run("frobnicate") == 1
@@ -654,8 +713,9 @@ REFUSALS = {
                            "usage error: argument subcommand: invalid choice: 'frobnicate' ..."),
     "alpha x": ((*SYNTH, "--n", "5", "--alpha", "x"), 1,
                 "usage error: argument --alpha: invalid float value: 'x'"),
-    "alpha 0": ((*SYNTH, "--n", "5", "--alpha", "0"), 1, "usage error: alpha must be positive: 0.0"),
-    "alpha nan": ((*SYNTH, "--n", "5", "--alpha", "nan"), 1, "usage error: alpha must be positive: nan"),
+    "alpha 0": ((*SYNTH, "--n", "5", "--alpha", "0"), 1, "usage error: alpha must be finite and positive: 0.0"),
+    "alpha nan": ((*SYNTH, "--n", "5", "--alpha", "nan"), 1, "usage error: alpha must be finite and positive: nan"),
+    "alpha inf": ((*SYNTH, "--n", "5", "--alpha", "inf"), 1, "usage error: alpha must be finite and positive: inf"),
     "grid 0x2x3": ((*SYNTH, "--grid", "0x2x3"), 1, "usage error: grid dims must be positive: (0, 2, 3)"),
     "grid 2x3": ((*SYNTH, "--grid", "2x3"), 1,
                  "usage error: argument --grid: bad grid spec (want HxWxT): '2x3'"),

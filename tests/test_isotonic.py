@@ -162,6 +162,20 @@ def test_map_validation():
         check_knots([0.0, 1.0], [0.0], [0], "linear")
 
 
+def test_knot_error_names_its_map_only_in_a_table_of_several():
+    """A one-map table (an `IsotonicMap`, a pooled model) states the rule
+    alone; a table of several maps names the first bad one."""
+    rule = "breakpoints must be strictly increasing"
+    for refuse in (lambda: check_knots([0.5, 0.5], [0.1, 0.2], [0], "linear"),
+                   lambda: IsotonicMap([0.5, 0.5], [0.1, 0.2])):
+        with pytest.raises(ValueError, match=f"^{rule}$"):
+            refuse()
+    with pytest.raises(ValueError, match=f"^model map 1: {rule}$"):
+        check_knots([0.2, 0.5, 0.7, 0.7], [0.1, 0.2, 0.3, 0.4], [0, 2], "linear")
+    # A decrease across a map start breaks no rule.
+    assert check_knots([0.2, 0.5, 0.1, 0.9], [0.1, 0.2, 0.0, 0.4], [0, 2], "step")[2].tolist() == [0, 2]
+
+
 @given(_instances(weighted=True))
 @settings(max_examples=150, deadline=None)
 def test_pava_matches_exact_oracle(instance):

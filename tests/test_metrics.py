@@ -80,9 +80,11 @@ class TestCoverage:
         with pytest.raises(ValueError, match=r"^lower bounds of shape \(2,\) for upper bounds of shape \(3,\)$"):
             interval_coverage([0.0, 0.0], [1.0, 1.0, 1.0], [0.5, 0.5, 0.5])
 
-    def test_a_missing_outcome_is_never_covered(self):
-        assert coverage([1.0, 1.0, 1.0, 1.0], [0.0, np.nan, 2.0, 1.0]) == 0.5
-        assert interval_coverage([-1.0] * 4, [1.0] * 4, [0.0, np.nan, 2.0, 1.0]) == 0.5
+    def test_a_missing_outcome_is_refused(self):
+        obs = [0.0, np.nan, 2.0, 1.0]
+        for score in (lambda: coverage([1.0] * 4, obs), lambda: interval_coverage([-1.0] * 4, [1.0] * 4, obs)):
+            with pytest.raises(ValueError, match="^invalid input value: NaN observation$"):
+                score()
 
 
 class TestReliabilityCurve:
@@ -122,13 +124,12 @@ class TestReliabilityCurve:
         assert np.max(np.abs(curve.empirical - curve.levels)) <= 1.0 / np.sqrt(n) + 1.0 / n
 
     @pytest.mark.parametrize("kind", ["gaussian", "ensemble"])
-    def test_missing_outcome_is_never_covered(self, kind):
+    def test_missing_outcome_is_refused(self, kind):
         forecasts = ([Gaussian(0.0, 1.0)] * 3 if kind == "gaussian"
                      else [Empirical([-1.0, 0.0, 1.0])] * 3)
         for cf in (None, identity_calibrator()):
-            curve = reliability_curve(forecasts, [np.nan, -0.5, 0.5], LEVELS_19, cf)
-            present = reliability_curve(forecasts[1:], [-0.5, 0.5], LEVELS_19, cf)
-            assert np.array_equal(np.round(curve.empirical * 3), np.round(present.empirical * 2))
+            with pytest.raises(ValueError, match="^invalid input value: NaN observation$"):
+                reliability_curve(forecasts, [np.nan, -0.5, 0.5], LEVELS_19, cf)
 
     def test_mixed_forecast_types(self):
         forecasts = [Gaussian(0.0, 1.0), Empirical([-1.0, 0.0, 1.0])]
@@ -268,8 +269,9 @@ class TestMaeMidQuantile:
 TWO = [Gaussian(0.0, 1.0), Gaussian(1.0, 1.0)]
 
 # (forecasts, observations, message), one row per outcome rule; flat fit,
-# reliability curve and MAE all give the rule's message. MAE used to give
-# 0.5 on the 2-d outcomes (broadcast against the medians) and NaN on NaN.
+# reliability curve, MAE and both coverages all give the rule's message.
+# MAE used to give 0.5 on the 2-d outcomes (broadcast against the medians)
+# and NaN on NaN.
 BAD_OUTCOMES = {
     "2-d": (TWO, [[0.0], [1.0]], "observations need ndim 1, got 2"),
     "short": (TWO, [0.0], "2 forecasts for 1 observations"),
@@ -288,13 +290,12 @@ def test_every_scorer_refuses_a_bad_outcome_with_the_rule_message(rule):
         "fit": lambda: fit_calibrator(forecasts, obs),
         "curve": lambda: reliability_curve(forecasts, obs, LEVELS_19),
         "mae": lambda: mae_mid_quantile(forecasts, obs),
+        "coverage": lambda: coverage(np.zeros(len(forecasts)), obs),
+        "interval": lambda: interval_coverage(np.zeros(len(forecasts)), np.ones(len(forecasts)), obs),
     }
     if rule == "empty":  # the fit's own rule, at least 2 points, comes first
         with pytest.raises(ValueError, match="^calibration set too small: need at least 2 points$"):
             scorers.pop("fit")()
-    if rule == "nan":  # a missing outcome, which the curve counts as never covered
-        assert reliability_curve(forecasts, obs, [0.5]).empirical[0] == 0.5
-        scorers.pop("curve")
     for scorer in scorers.values():
         with pytest.raises(ValueError) as info:
             scorer()

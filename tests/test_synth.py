@@ -141,6 +141,13 @@ class TestTrueRecalibrationMap:
             true_recalibration_map(2.0, float("nan"))
 
 
+@pytest.mark.parametrize("alpha", [0.0, -1.0, float("nan"), float("inf")])
+def test_one_alpha_rule_for_config_and_map(alpha):
+    for use in (lambda: SynthConfig(n=10, alpha=alpha), lambda: true_recalibration_map(alpha, 0.5)):
+        with pytest.raises(ValueError, match=f"^alpha must be finite and positive: {alpha}$"):
+            use()
+
+
 class TestConfigValidation:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
