@@ -14,7 +14,6 @@ from .metrics import (
 from .predictive import Empirical, Gaussian, PredictiveDist, cdf, quantile, variance
 from .recalibration import (
     CalibratedForecaster,
-    CalibrationPair,
     build_calibration_dataset,
     calibrated_cdf,
     calibrated_quantile,
@@ -29,7 +28,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibratedForecaster",
-    "CalibrationPair",
     "Empirical",
     "ForecastSeries",
     "Gaussian",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["IsotonicMap", "check_knots", "evaluate_map", "fit_isotonic", "inverse_maps"]
+__all__ = ["IsotonicMap", "check_knots", "evaluate_map", "fit_isotonic", "inverse_maps", "knot_error"]
 
 INTERPOLATION_MODES = ("linear", "step")
 
@@ -27,12 +27,18 @@ INTERPOLATION_MODES = ("linear", "step")
 _BLOCK = 1 << 14
 
 
+def knot_error(rule: str, i: int, maps: int) -> ValueError:
+    """The error for map ``i`` of a table of ``maps`` maps breaking ``rule``:
+    it names the map (``model map i: ...``) only when there are several."""
+    return ValueError(f"model map {i}: {rule}" if maps > 1 else rule)
+
+
 def check_knots(breakpoints, values, starts, interpolation: str):
     """Validate a knot table: every map's knots concatenated, map-major,
     map i's from index ``starts[i]`` on. Each map needs a knot, strictly
     increasing breakpoints and nondecreasing values, all finite and in
-    [0, 1]; order is tested within each map only. A knot error of a table
-    of several maps names the first bad one (``model map i: ...``).
+    [0, 1]; order is tested within each map only. A knot error names the
+    first bad map (`knot_error`).
     Returns the three arrays as read-only copies."""
     bp, vals, starts = (np.array(breakpoints, dtype=np.float64), np.array(values, dtype=np.float64),
                         np.array(starts))
@@ -53,7 +59,7 @@ def check_knots(breakpoints, values, starts, interpolation: str):
     ):
         if (flags := bad()).any():  # per knot, or per difference to the next knot
             i = np.searchsorted(starts, np.argmax(flags), side="right") - 1
-            raise ValueError(f"model map {i}: {rule}" if starts.size > 1 else rule)
+            raise knot_error(rule, i, starts.size)
     bp.flags.writeable = vals.flags.writeable = starts.flags.writeable = False
     return bp, vals, starts
 

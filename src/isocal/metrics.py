@@ -64,24 +64,21 @@ def check_levels(levels) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class ReliabilityCurve:
     """Nominal confidence levels (a `check_levels` grid) with their observed
-    frequencies, each in [0, 1], and finite nonnegative weights."""
+    frequencies, each in [0, 1]."""
 
     levels: np.ndarray
     empirical: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
         levels = check_levels(self.levels)
-        empirical, weights = (np.array(a, dtype=np.float64) for a in (self.empirical, self.weights))
-        if empirical.shape != levels.shape or weights.shape != levels.shape:
-            raise ValueError("levels, empirical and weights must have equal length")
+        empirical = np.array(self.empirical, dtype=np.float64)
+        if empirical.shape != levels.shape:
+            raise ValueError("levels and empirical must have equal length")
         if not np.all((empirical >= 0.0) & (empirical <= 1.0)):
             raise ValueError("empirical frequencies must lie in [0, 1]")
-        if not np.all(np.isfinite(weights) & (weights >= 0.0)):
-            raise ValueError("weights must be finite and nonnegative")
-        for name, arr in (("levels", levels), ("empirical", empirical), ("weights", weights)):
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        empirical.flags.writeable = False
+        object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "empirical", empirical)
 
 
 def coverage(quantile_bounds: Sequence[float], observations: Sequence[float]) -> float:
@@ -110,7 +107,7 @@ def reliability_curve(
     cell=None,
 ) -> ReliabilityCurve:
     """Observed frequency of staying below the (calibrated) upper bound
-    at each nominal level. Weights are all 1.
+    at each nominal level.
 
     The quantile at raw level r covers y exactly when P(X < y) <= r, so
     each map counts its points' sorted strict CDF values at or below its
@@ -124,11 +121,11 @@ def reliability_curve(
     maps = np.arange(len(raw))
     covered = (np.searchsorted(keys, maps[:, None] + 1j * raw, side="right")
                - np.searchsorted(keys.real, maps)[:, None])
-    return ReliabilityCurve(levels, covered.sum(axis=0) / obs.size, np.ones_like(levels))
+    return ReliabilityCurve(levels, covered.sum(axis=0) / obs.size)
 
 
 def calibration_error(curve: ReliabilityCurve, variant: str = "absolute") -> float:
-    """Weighted mean deviation between nominal and observed levels.
+    """Mean deviation between nominal and observed levels.
 
     ``signed`` keeps the raw differences (miscalibration directions can
     cancel), ``absolute`` takes magnitudes and ``squared`` squares them;
@@ -141,7 +138,7 @@ def calibration_error(curve: ReliabilityCurve, variant: str = "absolute") -> flo
         dev = np.abs(dev)
     elif variant == "squared":
         dev = dev * dev
-    return float(np.sum(curve.weights * dev) / curve.levels.size)
+    return float(np.sum(dev) / dev.size)
 
 
 def sharpness(
@@ -185,8 +182,9 @@ def mae_mid_quantile(
 
 
 def write_reliability_csv(curve: ReliabilityCurve, path) -> None:
-    """Write ``level,empirical,weight`` rows with 9 significant digits."""
+    """Write ``level,empirical,weight`` rows with 9 significant digits;
+    every level weighs 1."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("level,empirical,weight\n")
-        for p, e, w in zip(curve.levels, curve.empirical, curve.weights):
-            fh.write(f"{p:.9g},{e:.9g},{w:.9g}\n")
+        for p, e in zip(curve.levels, curve.empirical):
+            fh.write(f"{p:.9g},{e:.9g},1\n")

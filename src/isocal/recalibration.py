@@ -39,14 +39,13 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .gridio import ForecastSeries, GridSeries
-from .isotonic import IsotonicMap, check_knots, evaluate_map, inverse_maps
+from .isotonic import IsotonicMap, check_knots, evaluate_map, inverse_maps, knot_error
 # perfbench/tracing.py counts calls made through this name of this module.
 from .isotonic import fit_isotonic  # noqa: F401
 from .predictive import (ForecastColumns, PredictiveDist, cdf, forecast_fields, paired_outcomes, per_kind,
                          quantile)
 
 __all__ = [
-    "CalibrationPair",
     "CalibratedForecaster",
     "CalibratedQuantile",
     "build_calibration_dataset",
@@ -70,11 +69,6 @@ SATURATION_LEVEL_LO = 1e-6
 SATURATION_LEVEL_HI = 1.0 - 1e-6
 
 
-class CalibrationPair(NamedTuple):
-    c: float  # CDF value the forecast assigned to the outcome
-    y: float  # empirical fraction of CDF values strictly below c
-
-
 class CalibratedQuantile(NamedTuple):
     value: float
     saturated: bool
@@ -90,15 +84,14 @@ def _pit_values(forecasts, observations) -> np.ndarray:
 
 def build_calibration_dataset(
     forecasts: Sequence[PredictiveDist] | ForecastColumns, observations: Sequence[float]
-) -> list[CalibrationPair]:
-    """Pair each forecast's CDF value at the outcome with its empirical level.
-
-    Output order matches input order. Ties among CDF values count strictly,
-    so tied points share the empirical level of their common value.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each forecast's CDF value at the outcome, ``c``, and its empirical
+    level ``y``, the fraction of CDF values strictly below it: two float64
+    arrays in input order. Tied CDF values share the level of their
+    common value.
     """
     c = _pit_values(forecasts, observations)
-    y = np.searchsorted(np.sort(c), c, side="left") / c.size  # strictly-below counts
-    return [CalibrationPair(float(ci), float(yi)) for ci, yi in zip(c, y)]
+    return c, np.searchsorted(np.sort(c), c, side="left") / c.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -335,12 +328,12 @@ def load_model(path) -> CalibratedForecaster:
         if type(doc[key]) is not int:
             raise ValueError(f"model field {key!r} must be an integer, got {doc[key]!r}")
     maps = doc["maps"]
-    if not isinstance(maps, list):
-        raise ValueError("model field 'maps' must be a list")
+    if not (isinstance(maps, list) and maps):
+        raise ValueError("model field 'maps' must be a nonempty list")
     for i, m in enumerate(maps):
         if not (isinstance(m, dict) and isinstance(m.get("breakpoints"), list)
                 and isinstance(m.get("values"), list) and 0 < len(m["breakpoints"]) == len(m["values"])):
-            raise ValueError(f"model map {i} needs 'breakpoints' and 'values' lists, nonempty and equally long")
+            raise knot_error("'breakpoints' and 'values' must be nonempty lists of equal length", i, len(maps))
         numbers = m["breakpoints"] + m["values"]
         types = set(map(type, numbers))
         try:  # JSON numbers only: not strings or booleans, and no int beyond a double's range
@@ -349,7 +342,7 @@ def load_model(path) -> CalibratedForecaster:
             if int in types:
                 np.asarray(numbers, dtype=np.float64)
         except (TypeError, OverflowError):
-            raise ValueError(f"model map {i} has a knot that is not a number") from None
+            raise knot_error("every knot must be a JSON number", i, len(maps)) from None
     bp, vals = (np.array(list(chain.from_iterable(m[key] for m in maps)), dtype=np.float64)
                 for key in ("breakpoints", "values"))
     starts = np.cumsum([0] + [len(m["values"]) for m in maps[:-1]])

@@ -447,7 +447,10 @@ class TestModelFileValidation:
     def test_map_without_breakpoints(self, alpha2_files, tmp_path, capsys):
         doc = self.pooled(maps=[{"values": [0.0, 1.0]}])
         code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, doc)
-        assert code == 3 and "model map 0 needs 'breakpoints' and 'values'" in err
+        assert (code, err) == (3, "isocal: error: 'breakpoints' and 'values' must be nonempty lists "
+                                  "of equal length\n")
+        code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, self.pooled(maps=[]))
+        assert (code, err) == (3, "isocal: error: model field 'maps' must be a nonempty list\n")
 
     def test_pooled_model_with_grid_dims(self, alpha2_files, tmp_path, capsys):
         code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, self.pooled(h=2, w=3))
@@ -465,7 +468,7 @@ class TestModelFileValidation:
     ], ids=["string", "bool", "huge-int"])
     def test_knot_that_is_not_a_json_number(self, alpha2_files, tmp_path, capsys, knots):
         code, err = self.evaluate_with(alpha2_files, tmp_path, capsys, self.pooled(maps=[knots]))
-        assert code == 3 and "model map 0 has a knot that is not a number" in err
+        assert (code, err) == (3, "isocal: error: every knot must be a JSON number\n")
 
 
 class TestReliabilityCommand:
@@ -711,6 +714,9 @@ REFUSALS = {
                                "usage error: the following arguments are required: --observations"),
     "unknown subcommand": (("frobnicate",), 1,
                            "usage error: argument subcommand: invalid choice: 'frobnicate' ..."),
+    "synth --n and --grid": ((*SYNTH, "--n", "5", "--grid", "2x2x2"), 1,
+                             "usage error: provide exactly one of --n and --grid"),
+    "synth neither --n nor --grid": (SYNTH, 1, "usage error: provide exactly one of --n and --grid"),
     "alpha x": ((*SYNTH, "--n", "5", "--alpha", "x"), 1,
                 "usage error: argument --alpha: invalid float value: 'x'"),
     "alpha 0": ((*SYNTH, "--n", "5", "--alpha", "0"), 1, "usage error: alpha must be finite and positive: 0.0"),
@@ -740,7 +746,7 @@ REFUSALS = {
     "model h 1.5": ((*EVALUATE, "--model", "{in}/h_float.json"), 3,
                     "error: model field 'h' must be an integer, got 1.5"),
     "model maps {}": ((*EVALUATE, "--model", "{in}/maps_dict.json"), 3,
-                      "error: model field 'maps' must be a list"),
+                      "error: model field 'maps' must be a nonempty list"),
 }
 
 

@@ -103,11 +103,6 @@ class TestReliabilityCurve:
         curve = reliability_curve(forecasts, [0.0] * 5, [0.5])
         assert curve.empirical[0] == 1.0
 
-    def test_unit_weights(self):
-        forecasts = [Gaussian(0.0, 1.0)] * 3
-        curve = reliability_curve(forecasts, [0.0] * 3, LEVELS_19)
-        assert np.all(curve.weights == 1.0)
-
     def test_rejects_boundary_levels(self):
         with pytest.raises(ValueError):
             reliability_curve([Gaussian(0, 1)], [0.0], [0.0, 0.5])
@@ -139,35 +134,32 @@ class TestReliabilityCurve:
 
 class TestCalibrationError:
     def test_perfect_curve_scores_zero(self):
-        curve = ReliabilityCurve(LEVELS_19, LEVELS_19, np.ones_like(LEVELS_19))
+        curve = ReliabilityCurve(LEVELS_19, LEVELS_19)
         for variant in ("signed", "absolute", "squared"):
             assert calibration_error(curve, variant) == 0.0
 
     def test_hand_computed_values(self):
-        curve = ReliabilityCurve([0.25, 0.5, 0.75], [0.2, 0.5, 0.8], [1.0, 1.0, 1.0])
+        curve = ReliabilityCurve([0.25, 0.5, 0.75], [0.2, 0.5, 0.8])
         assert calibration_error(curve, "signed") == pytest.approx(0.0, abs=1e-15)
         assert calibration_error(curve, "absolute") == pytest.approx(0.1 / 3)
         assert calibration_error(curve, "squared") == pytest.approx(0.005 / 3)
 
     def test_signed_single_level(self):
-        curve = ReliabilityCurve([0.9], [0.98], [1.0])
+        curve = ReliabilityCurve([0.9], [0.98])
         assert calibration_error(curve, "signed") == pytest.approx(-0.08)
 
     def test_unknown_variant(self):
-        curve = ReliabilityCurve([0.5], [0.5], [1.0])
+        curve = ReliabilityCurve([0.5], [0.5])
         with pytest.raises(ValueError):
             calibration_error(curve, "rms")
 
-    @given(st.lists(st.tuples(st.floats(0.01, 0.99), st.floats(0.0, 2.0)),
-                    min_size=1, max_size=20))
+    @given(st.lists(st.floats(0.01, 0.99), min_size=1, max_size=20))
     @settings(max_examples=100, deadline=None)
-    def test_variant_inequalities(self, rows):
-        levels = np.sort(np.unique([r[0] for r in rows]))
+    def test_variant_inequalities(self, drawn):
+        levels = np.unique(drawn)
         rng = np.random.default_rng(0)
         empirical = rng.uniform(size=levels.size)
-        weights = np.asarray([r[1] for r in rows])[: levels.size]
-        weights = np.resize(weights, levels.size)
-        curve = ReliabilityCurve(levels, empirical, weights)
+        curve = ReliabilityCurve(levels, empirical)
         signed = calibration_error(curve, "signed")
         absolute = calibration_error(curve, "absolute")
         squared = calibration_error(curve, "squared")
@@ -317,7 +309,7 @@ BAD_LEVELS = {
 def test_every_level_grid_is_checked_once(grid):
     levels, message = BAD_LEVELS[grid]
     for check in (check_levels, lambda p: reliability_curve([Gaussian(0, 1)], [0.0], p),
-                  lambda p: ReliabilityCurve(p, np.zeros(np.shape(p)), np.ones(np.shape(p)))):
+                  lambda p: ReliabilityCurve(p, np.zeros(np.shape(p)))):
         with pytest.raises(ValueError) as info:
             check(levels)
         assert str(info.value) == message
@@ -336,39 +328,32 @@ def test_checked_levels_are_a_read_only_copy():
 
 
 BAD_CURVES = {
-    "nan frequency": ([0.5], [np.nan], [1.0], "empirical frequencies must lie in [0, 1]"),
-    "frequency above 1": ([0.5], [7.0], [1.0], "empirical frequencies must lie in [0, 1]"),
-    "negative frequency": ([0.5], [-0.1], [1.0], "empirical frequencies must lie in [0, 1]"),
-    "nan weight": ([0.5], [0.5], [np.nan], "weights must be finite and nonnegative"),
-    "inf weight": ([0.5], [0.5], [np.inf], "weights must be finite and nonnegative"),
-    "negative weight": ([0.5], [0.5], [-1.0], "weights must be finite and nonnegative"),
-    "short weights": ([0.25, 0.5], [0.5, 0.5], [1.0], "levels, empirical and weights must have equal length"),
+    "nan frequency": ([0.5], [np.nan], "empirical frequencies must lie in [0, 1]"),
+    "frequency above 1": ([0.5], [7.0], "empirical frequencies must lie in [0, 1]"),
+    "negative frequency": ([0.5], [-0.1], "empirical frequencies must lie in [0, 1]"),
+    "short empirical": ([0.25, 0.5], [0.5], "levels and empirical must have equal length"),
 }
 
 
 @pytest.mark.parametrize("case", BAD_CURVES)
 def test_reliability_curve_refuses_what_would_give_a_silent_nan(case):
-    levels, empirical, weights, message = BAD_CURVES[case]
+    levels, empirical, message = BAD_CURVES[case]
     with pytest.raises(ValueError) as info:
-        ReliabilityCurve(levels, empirical, weights)
+        ReliabilityCurve(levels, empirical)
     assert str(info.value) == message
 
 
 class TestCurveValidationAndExport:
     def test_levels_must_increase(self):
         with pytest.raises(ValueError):
-            ReliabilityCurve([0.5, 0.5], [0.1, 0.2], [1.0, 1.0])
+            ReliabilityCurve([0.5, 0.5], [0.1, 0.2])
 
     def test_nan_level_rejected(self):
         with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
-            ReliabilityCurve([0.5, np.nan], [0.1, 0.2], [1.0, 1.0])
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            ReliabilityCurve([0.5], [0.5], [-1.0])
+            ReliabilityCurve([0.5, np.nan], [0.1, 0.2])
 
     def test_csv_format(self, tmp_path):
-        curve = ReliabilityCurve([0.25, 0.5], [0.123456789123, 0.5], [1.0, 1.0])
+        curve = ReliabilityCurve([0.25, 0.5], [0.123456789123, 0.5])
         path = tmp_path / "curve.csv"
         write_reliability_csv(curve, path)
         lines = path.read_text().splitlines()

@@ -45,21 +45,21 @@ def constant_calibrator(value=0.5):
 
 class TestBuildCalibrationDataset:
     def test_two_point_example(self):
-        pairs = build_calibration_dataset([Gaussian(0, 1), Gaussian(0, 1)], [0.0, 10.0])
-        assert pairs[0].c == pytest.approx(0.5)
-        assert pairs[0].y == 0.0
-        assert pairs[1].c == pytest.approx(1.0, abs=1e-12)
-        assert pairs[1].y == 0.5
+        c, y = build_calibration_dataset([Gaussian(0, 1), Gaussian(0, 1)], [0.0, 10.0])
+        assert c[0] == pytest.approx(0.5)
+        assert y[0] == 0.0
+        assert c[1] == pytest.approx(1.0, abs=1e-12)
+        assert y[1] == 0.5
 
     def test_identical_points_share_zero_level(self):
-        pairs = build_calibration_dataset([Gaussian(1, 2)] * 3, [1.5] * 3)
-        assert all(p.y == 0.0 for p in pairs)
+        _, y = build_calibration_dataset([Gaussian(1, 2)] * 3, [1.5] * 3)
+        assert all(yi == 0.0 for yi in y)
 
     def test_all_median_observations(self):
-        pairs = build_calibration_dataset([Gaussian(m, 1.0) for m in range(4)],
-                                          [float(m) for m in range(4)])
-        assert all(p.c == pytest.approx(0.5) for p in pairs)
-        assert all(p.y == 0.0 for p in pairs)
+        c, y = build_calibration_dataset([Gaussian(m, 1.0) for m in range(4)],
+                                         [float(m) for m in range(4)])
+        assert all(ci == pytest.approx(0.5) for ci in c)
+        assert all(yi == 0.0 for yi in y)
 
     def test_too_small(self):
         with pytest.raises(ValueError, match="calibration set too small"):
@@ -74,12 +74,13 @@ class TestBuildCalibrationDataset:
     def test_levels_live_on_the_count_grid(self, draws):
         forecasts = [Gaussian(m, 1.0) for m, _ in draws]
         obs = [y for _, y in draws]
-        pairs = build_calibration_dataset(forecasts, obs)
-        n = len(pairs)
-        for p in pairs:
-            assert 0.0 <= p.c <= 1.0
-            assert 0.0 <= p.y <= 1.0
-            assert p.y in {i / n for i in range(n)}
+        c, y = build_calibration_dataset(forecasts, obs)
+        n = len(forecasts)
+        assert c.dtype == y.dtype == np.float64 and c.shape == y.shape == (n,)
+        for ci, yi in zip(c, y):
+            assert 0.0 <= ci <= 1.0
+            assert 0.0 <= yi <= 1.0
+            assert yi in {i / n for i in range(n)}
 
 
 class TestFitCalibrator:
@@ -180,8 +181,7 @@ def reference_grids(k, seed, t=30, h=3, w=4):
 
 def isotonic_reference(forecasts, obs, interpolation):
     """The PAVA fit of the calibration pairs: what every fitted map must equal."""
-    pairs = build_calibration_dataset(forecasts, obs)
-    return fit_isotonic([p.c for p in pairs], [p.y for p in pairs], interpolation=interpolation)
+    return fit_isotonic(*build_calibration_dataset(forecasts, obs), interpolation=interpolation)
 
 
 def assert_same_map(got, want):
@@ -201,7 +201,7 @@ class TestFitMatchesIsotonicReference:
         cols, obs, (rows, col_index) = grid_points(fs, gs)
         assert obs.size < gs.values.size  # some observations are missing
         if k:
-            c = np.array([p.c for p in build_calibration_dataset(cols, obs)])
+            c, _ = build_calibration_dataset(cols, obs)
             assert (c == 0.0).any() and (c == 1.0).any()
             assert (cols.samples == obs[:, None]).any()
         assert_same_map(fit_calibrator(fs, gs, interpolation=mode).maps[0],
@@ -487,7 +487,12 @@ class TestModelFile:
 
         doc["maps"][i] = {"breakpoints": [], "values": []}
         path.write_text(json.dumps(doc))
-        with pytest.raises(ValueError, match=f"^model map {i} needs 'breakpoints' and 'values' lists, nonempty"):
+        with pytest.raises(ValueError, match=f"^model map {i}: 'breakpoints' and 'values' must be nonempty "
+                                             "lists of equal length$"):
+            load_model(path)
+        doc["maps"][i] = {"breakpoints": ["0.5"], "values": [0.5]}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"^model map {i}: every knot must be a JSON number$"):
             load_model(path)
         starts = np.r_[cf.starts, cf.breakpoints.size]
         starts[i] = starts[i + 1]  # map i holds no knot
@@ -531,7 +536,7 @@ def _model_file(tmp_path, **changes):
     (lambda _: central_interval(identity_calibrator(), Gaussian(0, 1), 1.0),
      "interval level out of range: 1.0"),
     (lambda tmp_path: load_model(_model_file(tmp_path, h=1.5)), "model field 'h' must be an integer, got 1.5"),
-    (lambda tmp_path: load_model(_model_file(tmp_path, maps={})), "model field 'maps' must be a list"),
+    (lambda tmp_path: load_model(_model_file(tmp_path, maps={})), "model field 'maps' must be a nonempty list"),
 ], ids=["no-grid-dims", "map-count", "flat-with-grid", "interval-level", "float-h", "maps-dict"])
 def test_refusal_names_its_rule(tmp_path, make, message):
     with pytest.raises(ValueError) as info:
