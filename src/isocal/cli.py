@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -23,7 +24,6 @@ import numpy as np
 
 from . import gridio
 from .gridio import ParseError, read_forecasts, read_observations
-from .isotonic import INTERPOLATION_MODES
 from .metrics import (
     CE_VARIANTS,
     calibration_error,
@@ -54,6 +54,15 @@ MAX_LEVELS = 1000
 
 class _Parser(argparse.ArgumentParser):
     """argparse subclass whose refusals reach `main` as a `UsageError`."""
+
+    def parse_args(self, args=None, namespace=None):
+        """Read a ``--cell`` or ``--levels`` value that starts with ``-`` and a digit or
+        ``.`` as that flag's (``--cell=-1,0``): argparse takes such a list for an option."""
+        argv = list(sys.argv[1:] if args is None else args)
+        for i in reversed(range(1, len(argv))):
+            if argv[i - 1] in ("--cell", "--levels") and re.match(r"-[\d.]", argv[i]):
+                argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+        return super().parse_args(argv, namespace)
 
     def error(self, message):
         raise UsageError(message)
@@ -158,7 +167,7 @@ def _delta_pct(before: float, after: float) -> float | None:
 def _human_delta(pct: float | None) -> str:
     if pct is None:
         return "(n/a)"
-    arrow = "↓" if pct < 0 else "↑"
+    arrow = "↓" if math.copysign(1.0, pct) < 0 else "↑"  # -0.0 is a decrease
     return f"({arrow} {abs(pct):.1f}%)"
 
 
@@ -168,8 +177,7 @@ def cmd_calibrate(args) -> int:
     fs = read_forecasts(args.forecasts)
     gs = read_observations(args.observations)
     scope = "per_cell" if args.scope == "per-cell" else "pooled"
-    cf = fit_calibrator(fs, gs, scope=scope, interpolation=args.interpolation,
-                        min_points_per_cell=args.min_points_per_cell)
+    cf = fit_calibrator(fs, gs, scope=scope, min_points_per_cell=args.min_points_per_cell)
     save_model(cf, args.out)
     # fit_calibrator aligned the grids and fitted on the valid observations.
     valid = gs.mask
@@ -267,7 +275,6 @@ def _build_parser() -> _Parser:
     cal.add_argument("--forecasts", required=True)
     cal.add_argument("--observations", required=True)
     cal.add_argument("--scope", choices=["pooled", "per-cell"], default="pooled")
-    cal.add_argument("--interpolation", choices=INTERPOLATION_MODES, default="linear")
     cal.add_argument("--min-points-per-cell", type=int, default=DEFAULT_MIN_POINTS_PER_CELL)
     cal.add_argument("--out", required=True, help="model JSON path")
     cal.set_defaults(func=cmd_calibrate)

@@ -5,9 +5,7 @@
     minimize  sum_i w_i * (g(x_i) - y_i)**2   over nondecreasing g
 
 for points (x_i, y_i) in [0, 1]^2. The fitted map is represented by its
-values at the distinct x positions and can be queried as a step function
-(right-continuous, the classic form) or with linear interpolation between
-knots (the default, which yields a continuous recalibration map). The
+values at the distinct x positions, read linearly between knots; its
 generalized inverse resolves flat stretches to their left endpoint.
 Many maps share one knot table (`check_knots`), which `evaluate_map` and
 `inverse_maps` read as it is; an `IsotonicMap` is the table of one map.
@@ -21,8 +19,6 @@ import numpy as np
 
 __all__ = ["IsotonicMap", "check_knots", "evaluate_map", "fit_isotonic", "inverse_maps", "knot_error"]
 
-INTERPOLATION_MODES = ("linear", "step")
-
 # Map-level pairs `inverse_maps` searches at once.
 _BLOCK = 1 << 14
 
@@ -33,7 +29,7 @@ def knot_error(rule: str, i: int, maps: int) -> ValueError:
     return ValueError(f"model map {i}: {rule}" if maps > 1 else rule)
 
 
-def check_knots(breakpoints, values, starts, interpolation: str):
+def check_knots(breakpoints, values, starts):
     """Validate a knot table: every map's knots concatenated, map-major,
     map i's from index ``starts[i]`` on. Each map needs a knot, strictly
     increasing breakpoints and nondecreasing values, all finite and in
@@ -47,8 +43,6 @@ def check_knots(breakpoints, values, starts, interpolation: str):
     if (starts.ndim != 1 or starts.dtype.kind not in "iu" or starts[:1].tolist() != [0]
             or np.any(np.diff(np.r_[starts, bp.size]) < 1)):
         raise ValueError("knot table starts must rise from 0, each map holding at least one knot")
-    if interpolation not in INTERPOLATION_MODES:
-        raise ValueError(f"unknown interpolation mode: {interpolation!r}")
     inner = ~np.isin(np.arange(1, bp.size), starts)  # differences within one map
     # In this order, so that no difference is taken of a non-finite or huge knot.
     for rule, bad in (
@@ -75,11 +69,10 @@ class IsotonicMap:
 
     breakpoints: np.ndarray
     values: np.ndarray
-    interpolation: str = "linear"
     starts = (0,)  # a table of one map
 
     def __post_init__(self):
-        bp, vals, _ = check_knots(self.breakpoints, self.values, self.starts, self.interpolation)
+        bp, vals, _ = check_knots(self.breakpoints, self.values, self.starts)
         object.__setattr__(self, "breakpoints", bp)
         object.__setattr__(self, "values", vals)
 
@@ -134,34 +127,29 @@ def inverse_maps(table, rows, p) -> np.ndarray:
         j = np.cumsum(counts[:, :n], axis=1)  # each map's values below each level
         inside = (j > 0) & (j < size[:, None])
         g = np.where(inside, starts[ids, None] + j, 0)  # the knot at or above the level
-        b_hi = bp[g]
-        if table.interpolation == "step":
-            block = b_hi
-        else:
-            v_lo, b_lo = vals[g - 1], bp[g - 1]
-            frac = (levels - v_lo) / np.where(inside, vals[g] - v_lo, 1.0)
-            linear = b_lo + frac * (b_hi - b_lo)
-            # Rounding can leave the point short of the level's fraction of the
-            # segment, where the map is still under the level (on a segment a
-            # few ulps wide, far under it): step once toward the right knot.
-            short = (linear - b_lo) / np.where(inside, b_hi - b_lo, 1.0) < frac
-            block = np.where(short, np.nextafter(linear, b_hi), linear)
+        v_lo, b_lo, b_hi = vals[g - 1], bp[g - 1], bp[g]
+        frac = (levels - v_lo) / np.where(inside, vals[g] - v_lo, 1.0)
+        linear = b_lo + frac * (b_hi - b_lo)
+        # Rounding can leave the point short of the level's fraction of the
+        # segment, where the map is still under the level (on a segment a
+        # few ulps wide, far under it): step once toward the right knot.
+        short = (linear - b_lo) / np.where(inside, b_hi - b_lo, 1.0) < frac
+        block = np.where(short, np.nextafter(linear, b_hi), linear)
         out[first:first + ids.size, order] = np.where(inside, block, np.where(j == 0, 0.0, 1.0))
     return out
 
 
 def evaluate_map(table, row: int, q) -> np.ndarray:
     """`IsotonicMap.evaluate` of the map ``row`` of a knot table at every
-    level of ``q``, in q's shape. A step map takes the last knot's value at
-    or below q; a linear map takes v_lo + frac * (v_hi - v_lo), capped at
-    v_hi, on the segment that holds q. Beyond the end knots the end values hold."""
+    level of ``q``, in q's shape: v_lo + frac * (v_hi - v_lo), capped at v_hi,
+    on the segment that holds q; beyond the end knots the end values hold."""
     q_in = np.asarray(q, dtype=np.float64)
     if np.any(q_in < 0.0) or np.any(q_in > 1.0) or not np.all(np.isfinite(q_in)):
         raise ValueError(f"evaluation point outside [0, 1]: {q!r}")
     knots = slice(table.starts[row], table.starts[row + 1] if row + 1 < len(table.starts) else None)
     bp, vals = table.breakpoints[knots], table.values[knots]
     j = np.searchsorted(bp, q_in, side="right") - 1  # last knot at or below q
-    if table.interpolation == "step" or bp.size == 1:
+    if bp.size == 1:
         return vals[np.maximum(j, 0)]
     k = np.clip(j, 0, bp.size - 2)  # the segment that holds q, or the nearest end segment
     frac = (np.clip(q_in, bp[k], bp[k + 1]) - bp[k]) / (bp[k + 1] - bp[k])
@@ -183,7 +171,7 @@ def _merge_ties(x: np.ndarray, y: np.ndarray, w: np.ndarray):
     return x[idx], y_merged, w_merged
 
 
-def fit_isotonic(xs, ys, weights=None, interpolation: str = "linear") -> IsotonicMap:
+def fit_isotonic(xs, ys, weights=None) -> IsotonicMap:
     """Weighted least-squares nondecreasing fit of ys against xs.
 
     Points need not be sorted; exact ties in x are merged by weighted mean
@@ -227,4 +215,4 @@ def fit_isotonic(xs, ys, weights=None, interpolation: str = "linear") -> Isotoni
 
     fitted = np.repeat(np.asarray(vals, dtype=np.float64), counts)
     fitted = np.clip(fitted, 0.0, 1.0)
-    return IsotonicMap(x, fitted, interpolation)
+    return IsotonicMap(x, fitted)

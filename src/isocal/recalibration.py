@@ -10,13 +10,12 @@ probabilities; composing its generalized inverse with the raw quantile
 function yields calibrated quantiles and central intervals.
 
 A fitted `CalibratedForecaster` holds one pooled map or one map per grid
-cell as one knot table (every map's knots concatenated, the index where
-each map's knots begin, one interpolation mode), filled by the fit's one
-sort or the file's one array per field. It serializes to a single-object
-JSON model file::
+cell as one knot table (every map's knots concatenated, and the index
+where each map's knots begin), filled by the fit's one sort or the file's
+one array per field. It serializes to a single-object JSON model file::
 
     {"version": 1, "scope": "pooled" | "per_cell", "h": int, "w": int,
-     "interpolation": "linear" | "step",
+     "interpolation": "linear",
      "maps": [{"breakpoints": [...], "values": [...]}, ...]}
 
 with per-cell maps in row-major order (pooled models carry exactly one
@@ -103,7 +102,6 @@ class CalibratedForecaster:
     breakpoints: np.ndarray
     values: np.ndarray
     starts: np.ndarray
-    interpolation: str = "linear"
     h: int = 0
     w: int = 0
 
@@ -114,7 +112,7 @@ class CalibratedForecaster:
             raise ValueError(f"pooled scope carries h = w = 0, got {self.h}x{self.w}")
         if self.scope == "per_cell" and (self.h < 1 or self.w < 1):
             raise ValueError("per_cell scope needs positive grid dims")
-        table = check_knots(self.breakpoints, self.values, self.starts, self.interpolation)
+        table = check_knots(self.breakpoints, self.values, self.starts)
         for name, arr in zip(("breakpoints", "values", "starts"), table):
             object.__setattr__(self, name, arr)
         n = max(self.h * self.w, 1)  # a pooled model has h = w = 0
@@ -130,7 +128,7 @@ class CalibratedForecaster:
 
     def _map(self, i: int) -> IsotonicMap:
         knots = slice(self.starts[i], self.starts[i + 1] if i + 1 < self.starts.size else None)
-        return IsotonicMap(self.breakpoints[knots], self.values[knots], self.interpolation)
+        return IsotonicMap(self.breakpoints[knots], self.values[knots])
 
     def _map_index(self, cell):
         """Position of the map governing ``cell``: one (row, col) pair, or
@@ -201,7 +199,6 @@ def fit_calibrator(
     forecasts,
     observations,
     scope: str = "pooled",
-    interpolation: str = "linear",
     min_points_per_cell: int = DEFAULT_MIN_POINTS_PER_CELL,
 ) -> CalibratedForecaster:
     """Fit the recalibration map(s) on held-out forecast/observation pairs.
@@ -240,8 +237,7 @@ def fit_calibrator(
     m = key.real[knots]
     start, end = np.searchsorted(key, [m, m + 1])  # each knot's map, as a range of key
     starts = np.flatnonzero(np.r_[True, m[1:] != m[:-1]])  # every map has points
-    return CalibratedForecaster(scope, key.imag[knots], (knots - start) / (end - start), starts,
-                                interpolation, h=h, w=w)
+    return CalibratedForecaster(scope, key.imag[knots], (knots - start) / (end - start), starts, h=h, w=w)
 
 
 def calibrated_cdf(cf: CalibratedForecaster, d: PredictiveDist, y: float,
@@ -289,7 +285,7 @@ def _model_text(cf: CalibratedForecaster):
     finite (`check_knots`), so ``float.__repr__`` spells them as the json
     module does."""
     header = {"version": MODEL_VERSION, "scope": cf.scope, "h": int(cf.h), "w": int(cf.w),
-              "interpolation": cf.interpolation}
+              "interpolation": "linear"}
     yield json.dumps(header)[:-1] + ', "maps": ['
     bounds = cf.starts.tolist() + [cf.breakpoints.size]
     for i, j in zip(bounds, bounds[1:]):
@@ -327,6 +323,8 @@ def load_model(path) -> CalibratedForecaster:
     for key in ("h", "w"):
         if type(doc[key]) is not int:
             raise ValueError(f"model field {key!r} must be an integer, got {doc[key]!r}")
+    if doc["interpolation"] != "linear":
+        raise ValueError(f"model field 'interpolation' must be 'linear', got {doc['interpolation']!r}")
     maps = doc["maps"]
     if not (isinstance(maps, list) and maps):
         raise ValueError("model field 'maps' must be a nonempty list")
@@ -346,4 +344,4 @@ def load_model(path) -> CalibratedForecaster:
     bp, vals = (np.array(list(chain.from_iterable(m[key] for m in maps)), dtype=np.float64)
                 for key in ("breakpoints", "values"))
     starts = np.cumsum([0] + [len(m["values"]) for m in maps[:-1]])
-    return CalibratedForecaster(doc["scope"], bp, vals, starts, doc["interpolation"], h=doc["h"], w=doc["w"])
+    return CalibratedForecaster(doc["scope"], bp, vals, starts, h=doc["h"], w=doc["w"])

@@ -14,12 +14,9 @@ The script, run through ``isocal.cli.main`` in-process:
   Each cell keeps at least 20 fitted points, so that a per-cell map's
   top value (n - 1)/n leaves fewer than 5 % of the sharpness levels
   saturated;
-- ``calibrate`` for each kind, pooled and per-cell, ``linear`` and
-  ``step``: the model files;
+- ``calibrate`` for each kind, pooled and per-cell: the model files;
 - ``evaluate`` of each model on its evaluation split: the JSON report and
-  the ``--human`` table, and once per kind without a model. The step
-  per-cell ensemble model exits 3: one of its maps saturates more than
-  5 % of the sharpness levels;
+  the ``--human`` table, and once per kind without a model;
 - ``reliability`` of each model, pooled and for two cells;
 - two damaged model files, which exit 3: a repeated breakpoint inside map 5 of a
   per-cell model, and a model that is not UTF-8.
@@ -76,15 +73,14 @@ def write_golden(out: Path) -> None:
         run("evaluate", *split, "--out", f"report_{kind}_none.json")
         run("evaluate", *split, "--human")
         for scope in ("pooled", "per-cell"):
-            for mode in ("linear", "step"):
-                tag = f"{kind}_{scope}_{mode}"
-                run("calibrate", *fit, "--scope", scope, "--interpolation", mode,
-                    "--min-points-per-cell", MIN_POINTS_PER_CELL, "--out", f"model_{tag}.json")
-                model = ["--model", f"model_{tag}.json"]
-                run("evaluate", *split, *model, "--out", f"report_{tag}.json")
-                run("evaluate", *split, *model, "--human")
-                run("reliability", *split, *model, "--out", f"curve_{tag}.csv")
-                run("reliability", *split, *model, *CELLS, "--out", f"curve_{tag}.csv")
+            tag = f"{kind}_{scope}_linear"
+            run("calibrate", *fit, "--scope", scope,
+                "--min-points-per-cell", MIN_POINTS_PER_CELL, "--out", f"model_{tag}.json")
+            model = ["--model", f"model_{tag}.json"]
+            run("evaluate", *split, *model, "--out", f"report_{tag}.json")
+            run("evaluate", *split, *model, "--human")
+            run("reliability", *split, *model, "--out", f"curve_{tag}.csv")
+            run("reliability", *split, *model, *CELLS, "--out", f"curve_{tag}.csv")
 
     doc = json.loads((out / "model_gauss_per-cell_linear.json").read_text())
     knots = doc["maps"][5]["breakpoints"]

@@ -94,17 +94,13 @@ def isotonic_grid_objective(ys, ws=None, step: float = 1e-3) -> float:
     return float(dp.min())
 
 
-def knot_table(maps, interpolation=None):
-    """The knot table of ``maps`` (each with ``breakpoints``, ``values`` and
-    ``interpolation``), as ``CalibratedForecaster`` takes it after its
-    scope: breakpoints and values concatenated, each map's start, and the
-    one interpolation mode, which is the maps' own unless given."""
-    modes = {m.interpolation for m in maps} if interpolation is None else {interpolation}
-    if len(modes) != 1:
-        raise ValueError(f"a knot table has one interpolation mode, got {sorted(modes)}")
+def knot_table(maps):
+    """The knot table of ``maps`` (each with ``breakpoints`` and ``values``),
+    as ``CalibratedForecaster`` takes it after its scope: breakpoints and
+    values concatenated, and each map's start."""
     sizes = [m.breakpoints.size for m in maps]
     return (np.concatenate([m.breakpoints for m in maps]), np.concatenate([m.values for m in maps]),
-            np.cumsum([0] + sizes[:-1]), modes.pop())
+            np.cumsum([0] + sizes[:-1]))
 
 
 def inverse_maps_complex(table, rows, p) -> np.ndarray:
@@ -129,7 +125,7 @@ def inverse_maps_complex(table, rows, p) -> np.ndarray:
     linear = b_lo + frac * (b_hi - b_lo)
     short = (linear - b_lo) / (b_hi - b_lo) < frac  # rounded short of the crossing
     linear[short] = np.nextafter(linear[short], b_hi[short])
-    out[r, c] = b_hi if table.interpolation == "step" else linear
+    out[r, c] = linear
     return out
 
 
@@ -139,7 +135,7 @@ def model_doc(cf) -> dict:
     bp, vals = cf.breakpoints.tolist(), cf.values.tolist()
     bounds = cf.starts.tolist() + [len(bp)]
     return {"version": 1, "scope": cf.scope, "h": int(cf.h), "w": int(cf.w),
-            "interpolation": cf.interpolation,
+            "interpolation": "linear",
             "maps": [{"breakpoints": bp[i:j], "values": vals[i:j]}
                      for i, j in zip(bounds, bounds[1:])]}
 

@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 
 import isocal.cli
 import isocal.recalibration
-from isocal.cli import _build_parser, main
+from isocal.cli import _build_parser, _human_delta, main
 from isocal.gridio import read_forecasts, read_observations
-from isocal.isotonic import INTERPOLATION_MODES, IsotonicMap, inverse_maps
+from isocal.isotonic import IsotonicMap, inverse_maps
 from isocal.metrics import (
     CE_VARIANTS,
     calibration_error,
@@ -277,6 +277,12 @@ class TestEvaluateCommand:
             "CE (absolute)                0             0  (n/a)"
         assert json.loads(report.read_text())["deltas_pct"]["ce"] is None
 
+    def test_human_delta_arrow_follows_the_sign_bit(self):
+        """A decrease that rounds to -0.0 points down, as its signed entry
+        in ``deltas_pct`` does."""
+        assert [_human_delta(pct) for pct in (-0.0, 0.0, -66.0, 12.5, None)] == \
+            ["(↓ 0.0%)", "(↑ 0.0%)", "(↓ 66.0%)", "(↑ 12.5%)", "(n/a)"]
+
     @pytest.mark.parametrize("mode", ["gaussian_params", "sample_set"])
     def test_identity_model_changes_nothing(self, tmp_path, mode):
         fc, obs = synth_files(tmp_path, mode, grid="4x4x30", alpha="2", seed="2", mode=mode, k="20")
@@ -503,6 +509,15 @@ class TestReliabilityCommand:
         assert (tmp_path / "curve_cell0-0.csv").exists()
         assert (tmp_path / "curve_cell1-1.csv").exists()
 
+    def test_cell_minus_zero_is_cell_zero(self, tmp_path):
+        """A ``--cell`` value that starts with ``-`` is read as the flag's
+        value: ``-0,0`` names cell (0, 0)."""
+        fc, obs = synth_files(tmp_path, "mz", grid="2x2x40", alpha="2", seed="9")
+        for tag, spec in (("plain", "0,0"), ("minus", "-0,0")):
+            assert run("reliability", "--forecasts", fc, "--observations", obs,
+                       "--cell", spec, "--out", tmp_path / f"{tag}.csv") == 0
+        assert (tmp_path / "minus_cell0-0.csv").read_bytes() == (tmp_path / "plain_cell0-0.csv").read_bytes()
+
     def test_cell_inverts_only_its_own_map(self, tmp_path, monkeypatch):
         fc, obs = synth_files(tmp_path, "inv", grid="3x3x40", alpha="2", seed="9")
         model = tmp_path / "m.json"
@@ -674,9 +689,6 @@ class TestUsage:
                            if isinstance(a, argparse._SubParsersAction)).choices
         options = {(sub, action.dest): action for sub, parser in subcommands.items()
                    for action in parser._actions}
-        interpolation = options["calibrate", "interpolation"]
-        assert tuple(interpolation.choices) == INTERPOLATION_MODES
-        assert interpolation.default == signature(fit_calibrator).parameters["interpolation"].default
         minimum = options["calibrate", "min_points_per_cell"]
         assert minimum.default == DEFAULT_MIN_POINTS_PER_CELL
         assert minimum.default == signature(fit_calibrator).parameters["min_points_per_cell"].default
@@ -688,7 +700,7 @@ class TestUsage:
 @pytest.fixture(scope="module")
 def refusal_inputs(tmp_path_factory):
     """A 3x3x40 Gaussian grid with a model fitted to it, a one-member
-    ensemble file and two model files with a bad field."""
+    ensemble file and four model files with a bad field."""
     base = tmp_path_factory.mktemp("refusals")
     fc, obs, model = base / "fc.csv", base / "obs.csv", base / "model.json"
     assert run("synth", "--grid", "3x3x40", "--alpha", "2", "--seed", "4",
@@ -698,6 +710,8 @@ def refusal_inputs(tmp_path_factory):
     doc = json.loads(model.read_text())
     (base / "h_float.json").write_text(json.dumps({**doc, "h": 1.5}))
     (base / "maps_dict.json").write_text(json.dumps({**doc, "maps": {}}))
+    (base / "interpolation_step.json").write_text(json.dumps({**doc, "interpolation": "step"}))
+    (base / "interpolation_1.json").write_text(json.dumps({**doc, "interpolation": 1}))
     return base
 
 
@@ -730,6 +744,7 @@ REFUSALS = {
     "cell 1": ((*RELIABILITY, "--cell", "1"), 1,
                "usage error: argument --cell: bad cell spec (want ROW,COL): '1'"),
     "cell -1,0": ((*RELIABILITY, "--cell=-1,0"), 3, "error: cell out of range: (-1, 0) for 3x3 grid"),
+    "cell token -1,0": ((*RELIABILITY, "--cell", "-1,0"), 3, "error: cell out of range: (-1, 0) for 3x3 grid"),
     "cell 9,9": ((*RELIABILITY, "--cell", "9,9"), 3, "error: cell out of range: (9, 9) for 3x3 grid"),
     "levels 1:2": ((*EVALUATE, "--levels", "1:2"), 1,
                    "usage error: argument --levels: bad levels spec: '1:2'"),
@@ -740,6 +755,10 @@ REFUSALS = {
                            "levels must be a nonempty 1-d sequence: '0.5:0.1:0.1'"),
     "levels 0.6,0.5": ((*EVALUATE, "--levels", "0.6,0.5"), 1,
                        "usage error: argument --levels: levels must be strictly increasing: '0.6,0.5'"),
+    "levels token -0.5,0.5": ((*EVALUATE, "--levels", "-0.5,0.5"), 1, "usage error: argument --levels: "
+                              "levels must lie strictly inside (0, 1): '-0.5,0.5'"),
+    "calibrate --interpolation step": (("calibrate", *SCORE, "--interpolation", "step", "--out", "{out}/m.json"),
+                                       1, "usage error: unrecognized arguments: --interpolation step"),
     "one-member ensemble": (("calibrate", "--forecasts", "{in}/one_member.csv", "--observations",
                              "{in}/obs.csv", "--out", "{out}/m.json"), 2,
                             "parse error: ensemble files need at least 2 members per cell"),
@@ -747,6 +766,10 @@ REFUSALS = {
                     "error: model field 'h' must be an integer, got 1.5"),
     "model maps {}": ((*EVALUATE, "--model", "{in}/maps_dict.json"), 3,
                       "error: model field 'maps' must be a nonempty list"),
+    "model interpolation step": ((*EVALUATE, "--model", "{in}/interpolation_step.json"), 3,
+                                 "error: model field 'interpolation' must be 'linear', got 'step'"),
+    "model interpolation 1": ((*EVALUATE, "--model", "{in}/interpolation_1.json"), 3,
+                              "error: model field 'interpolation' must be 'linear', got 1"),
 }
 
 

@@ -7,7 +7,7 @@ floating point, so model files, coverage and CE stay byte for byte the
 same, MAE scales by s and sharpness by s**2. The record order of the
 input files carries no information either, nor the order of an
 ensemble's members. A per-cell map is the pooled map of its cell's
-points, and the interpolation mode only changes how maps are read.
+points.
 """
 
 import contextlib
@@ -242,12 +242,3 @@ def test_each_per_cell_map_is_the_pooled_map_of_its_cell(tmp_path, grids, kind):
         pooled = json.loads(calibrated(tmp_path / f"cell{r}-{c}", one_cell(fc, r, c), one_cell(obs, r, c)))
         assert pooled["maps"] == [cells["maps"][r * 4 + c]]
 
-
-@pytest.mark.parametrize("scope", SCOPES)
-@pytest.mark.parametrize("kind", KINDS)
-def test_linear_and_step_models_differ_only_in_interpolation(tmp_path, grids, kind, scope):
-    fc, obs = grids["fit_fc", kind], grids["fit_obs", kind]
-    linear, step = (calibrated(tmp_path / mode, fc, obs, "--scope", scope, "--interpolation", mode)
-                    for mode in ("linear", "step"))
-    assert b'"interpolation": "linear"' in linear
-    assert step == linear.replace(b'"interpolation": "linear"', b'"interpolation": "step"')

@@ -74,15 +74,6 @@ def test_evaluate_linear_interpolation():
     assert m.evaluate(0.2) == pytest.approx(0.325)
 
 
-def test_evaluate_step_mode_right_continuous():
-    m = IsotonicMap([0.2, 0.6], [0.3, 0.8], "step")
-    assert m.evaluate(0.1) == 0.3
-    assert m.evaluate(0.2) == 0.3
-    assert m.evaluate(0.59) == 0.3
-    assert m.evaluate(0.6) == 0.8
-    assert m.evaluate(1.0) == 0.8
-
-
 def test_evaluate_steep_segment_by_fraction():
     """A segment so narrow that its slope overflows takes the fraction of
     the segment: v_lo + frac * (v_hi - v_lo), capped at v_hi."""
@@ -94,9 +85,8 @@ def test_evaluate_steep_segment_by_fraction():
 
 
 def test_evaluate_holds_end_values_beyond_the_knots():
-    for mode in ("linear", "step"):
-        m = IsotonicMap([0.25, 0.5, 0.75], [0.1, 0.2, 0.3], mode)
-        assert m.evaluate([0.0, 0.25, 0.75, 1.0]).tolist() == [0.1, 0.1, 0.3, 0.3]
+    m = IsotonicMap([0.25, 0.5, 0.75], [0.1, 0.2, 0.3])
+    assert m.evaluate([0.0, 0.25, 0.75, 1.0]).tolist() == [0.1, 0.1, 0.3, 0.3]
 
 
 def test_evaluate_is_the_one_map_call_of_evaluate_map():
@@ -131,13 +121,6 @@ def test_inverse_of_linear_segment():
     assert m.inverse(0.325) == pytest.approx(0.2)
 
 
-def test_inverse_step_mode_jumps_to_breakpoint():
-    m = IsotonicMap([0.2, 0.6], [0.3, 0.8], "step")
-    assert m.inverse(0.3) == 0.0     # already reached by the constant head
-    assert m.inverse(0.5) == pytest.approx(0.6)
-    assert m.inverse(0.9) == 1.0
-
-
 def test_inverse_rejects_out_of_range():
     m = fit_isotonic([0.5], [0.5])
     with pytest.raises(ValueError):
@@ -156,24 +139,22 @@ def test_map_validation():
         IsotonicMap([0.5, 0.5], [0.1, 0.2])  # breakpoints not strictly increasing
     with pytest.raises(ValueError):
         IsotonicMap([0.1, 0.5], [0.4, 0.2])  # values decreasing
-    with pytest.raises(ValueError):
-        IsotonicMap([0.1], [0.5], "spline")
     with pytest.raises(ValueError, match="^breakpoints and values must be nonempty 1-d arrays of equal length$"):
-        check_knots([0.0, 1.0], [0.0], [0], "linear")
+        check_knots([0.0, 1.0], [0.0], [0])
 
 
 def test_knot_error_names_its_map_only_in_a_table_of_several():
     """A one-map table (an `IsotonicMap`, a pooled model) states the rule
     alone; a table of several maps names the first bad one."""
     rule = "breakpoints must be strictly increasing"
-    for refuse in (lambda: check_knots([0.5, 0.5], [0.1, 0.2], [0], "linear"),
+    for refuse in (lambda: check_knots([0.5, 0.5], [0.1, 0.2], [0]),
                    lambda: IsotonicMap([0.5, 0.5], [0.1, 0.2])):
         with pytest.raises(ValueError, match=f"^{rule}$"):
             refuse()
     with pytest.raises(ValueError, match=f"^model map 1: {rule}$"):
-        check_knots([0.2, 0.5, 0.7, 0.7], [0.1, 0.2, 0.3, 0.4], [0, 2], "linear")
+        check_knots([0.2, 0.5, 0.7, 0.7], [0.1, 0.2, 0.3, 0.4], [0, 2])
     # A decrease across a map start breaks no rule.
-    assert check_knots([0.2, 0.5, 0.1, 0.9], [0.1, 0.2, 0.0, 0.4], [0, 2], "step")[2].tolist() == [0, 2]
+    assert check_knots([0.2, 0.5, 0.1, 0.9], [0.1, 0.2, 0.0, 0.4], [0, 2])[2].tolist() == [0, 2]
 
 
 @given(_instances(weighted=True))
@@ -210,18 +191,17 @@ def test_fit_is_idempotent(points):
     assert second.values == pytest.approx(first.values, abs=1e-12)
 
 
-@given(st.lists(st.tuples(unit_floats, unit_floats), min_size=1, max_size=15),
-       unit_floats, st.sampled_from(["linear", "step"]))
+@given(st.lists(st.tuples(unit_floats, unit_floats), min_size=1, max_size=15), unit_floats)
 @settings(max_examples=200, deadline=None)
 # knots one ulp apart: the interpolated inverse rounds onto the left knot
-@example(points=[(1.0, 1.0), (0.9999999999999999, 0.5)], level=0.625, mode="linear")
+@example(points=[(1.0, 1.0), (0.9999999999999999, 0.5)], level=0.625)
 # three equal ys at one x: their mean must not round an ulp above them
 @example(points=[(0.0, 0.48488647955530795), (0.25, 0.48488647955530795), (0.25, 0.48488647955530795),
-                 (0.25, 0.48488647955530795)], level=0.1875, mode="linear")
-def test_galois_connection(points, level, mode):
+                 (0.25, 0.48488647955530795)], level=0.1875)
+def test_galois_connection(points, level):
     xs = [p[0] for p in points]
     ys = [p[1] for p in points]
-    m = fit_isotonic(xs, ys, interpolation=mode)
+    m = fit_isotonic(xs, ys)
     q = m.inverse(level)
     if level <= m.values[-1]:
         assert m.evaluate(q) >= level - 1e-9
@@ -241,13 +221,12 @@ def test_upward_shift_never_lowers_fit(points):
 
 
 @given(st.lists(st.tuples(unit_floats, unit_floats), min_size=1, max_size=15),
-       st.lists(unit_floats, min_size=1, max_size=10),
-       st.sampled_from(["linear", "step"]))
+       st.lists(unit_floats, min_size=1, max_size=10))
 @settings(max_examples=100, deadline=None)
 # a segment so steep that its slope overflows
-@example(points=[(0.0, 0.0), (2.2250738585e-313, 0.5)], queries=[5e-324, 1.0], mode="linear")
-def test_evaluate_monotone_and_bounded(points, queries, mode):
-    m = fit_isotonic([p[0] for p in points], [p[1] for p in points], interpolation=mode)
+@example(points=[(0.0, 0.0), (2.2250738585e-313, 0.5)], queries=[5e-324, 1.0])
+def test_evaluate_monotone_and_bounded(points, queries):
+    m = fit_isotonic([p[0] for p in points], [p[1] for p in points])
     qs = np.sort(np.asarray(queries))
     out = m.evaluate(qs)
     assert np.all((out >= 0.0) & (out <= 1.0))

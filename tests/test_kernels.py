@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from isocal import isotonic
 from isocal.gridio import ForecastSeries, GridSeries
-from isocal.isotonic import INTERPOLATION_MODES, IsotonicMap, inverse_maps
+from isocal.isotonic import IsotonicMap, inverse_maps
 from isocal.metrics import (
     SHARPNESS_GRID,
     calibration_error,
@@ -57,8 +57,6 @@ def ref_inverse(m, p):
         return 0.0
     if j == vals.size:
         return 1.0
-    if m.interpolation == "step":
-        return bp[j]
     frac = (p - vals[j - 1]) / (vals[j] - vals[j - 1])
     x = bp[j - 1] + frac * (bp[j] - bp[j - 1])
     if (x - bp[j - 1]) / (bp[j] - bp[j - 1]) < frac:  # rounded short of the crossing
@@ -136,43 +134,35 @@ def test_sharpness_of_a_list_matches_the_per_forecast_loop():
     assert sharpness(forecasts) == pytest.approx(identity, rel=1e-12)
 
 
-@given(st.lists(st.tuples(st.lists(st.integers(0, 20), min_size=1, max_size=12),
-                          st.sampled_from(["linear", "step"])), min_size=1, max_size=6),
+@given(st.lists(st.lists(st.integers(0, 20), min_size=1, max_size=12), min_size=1, max_size=6),
        st.lists(st.integers(0, 40), min_size=1, max_size=10))
 @settings(max_examples=150, deadline=None)
 def test_batched_inverse_matches_map_by_map(specs, ps):
     p = np.asarray(ps) / 40.0  # lands on knot values too
-    for mode in ("linear", "step"):  # the maps of each mode form one knot table
-        maps = []
-        for knots, m in specs:
-            if m == mode:
-                bp = np.unique(knots) / 20.0
-                vals = np.sort(np.asarray(knots[:bp.size], dtype=np.float64)) / 20.0
-                maps.append(IsotonicMap(bp, vals, mode))
-        if not maps:
-            continue
-        per_cell = CalibratedForecaster("per_cell", *oracles.knot_table(maps), h=1, w=len(maps))
-        rows = np.arange(len(maps))
-        table = inverse_maps(per_cell, rows, p)
-        for m, row in zip(maps, table):
-            assert np.array_equal(row, [ref_inverse(m, pi) for pi in p])
-        assert np.array_equal(inverse_maps(per_cell, rows[::-1], p), table[::-1])
-        for c, m in enumerate(maps):
-            assert np.array_equal(table[per_cell._map_index((0, c))], m.inverse(p))
-        cells = (np.zeros(len(maps), dtype=int), rows)
-        assert np.array_equal(table[per_cell._map_index(cells)], table)
+    maps = []
+    for knots in specs:
+        bp = np.unique(knots) / 20.0
+        vals = np.sort(np.asarray(knots[:bp.size], dtype=np.float64)) / 20.0
+        maps.append(IsotonicMap(bp, vals))
+    per_cell = CalibratedForecaster("per_cell", *oracles.knot_table(maps), h=1, w=len(maps))
+    rows = np.arange(len(maps))
+    table = inverse_maps(per_cell, rows, p)
+    for m, row in zip(maps, table):
+        assert np.array_equal(row, [ref_inverse(m, pi) for pi in p])
+    assert np.array_equal(inverse_maps(per_cell, rows[::-1], p), table[::-1])
+    for c, m in enumerate(maps):
+        assert np.array_equal(table[per_cell._map_index((0, c))], m.inverse(p))
+    cells = (np.zeros(len(maps), dtype=int), rows)
+    assert np.array_equal(table[per_cell._map_index(cells)], table)
 
 
 def test_batched_inverse_spans_several_blocks():
     rng = np.random.default_rng(2)
-    maps = [IsotonicMap(np.unique(rng.uniform(size=8)), np.sort(rng.uniform(size=8)),
-                        "step" if i % 4 == 0 else "linear") for i in range(300)]
-    p = np.linspace(0.0, 1.0, 101)  # 225 linear maps x 101 levels: more than one block
-    for mode in ("linear", "step"):
-        group = [m for m in maps if m.interpolation == mode]
-        cf = CalibratedForecaster("per_cell", *oracles.knot_table(group), h=1, w=len(group))
-        expected = [[ref_inverse(m, pi) for pi in p] for m in group]
-        assert np.array_equal(inverse_maps(cf, np.arange(len(group)), p), expected)
+    maps = [IsotonicMap(np.unique(rng.uniform(size=8)), np.sort(rng.uniform(size=8))) for _ in range(300)]
+    p = np.linspace(0.0, 1.0, 101)  # 300 maps x 101 levels: more than one block
+    cf = CalibratedForecaster("per_cell", *oracles.knot_table(maps), h=1, w=len(maps))
+    expected = [[ref_inverse(m, pi) for pi in p] for m in maps]
+    assert np.array_equal(inverse_maps(cf, np.arange(len(maps)), p), expected)
 
 
 # Knots and levels on a coarse grid (flat runs, exact 0s and 1s, levels on
@@ -181,15 +171,14 @@ unit_values = st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, 20).map(lamb
                         st.floats(0.0, 1.0))
 
 
-@given(st.sampled_from(INTERPOLATION_MODES),
-       st.lists(st.lists(unit_values, min_size=1, max_size=10), min_size=1, max_size=6), st.data())
+@given(st.lists(st.lists(unit_values, min_size=1, max_size=10), min_size=1, max_size=6), st.data())
 @settings(max_examples=200, deadline=None)
-def test_counting_inverse_matches_the_complex_key_search(mode, knot_lists, data):
+def test_counting_inverse_matches_the_complex_key_search(knot_lists, data):
     maps = []
     for knots in knot_lists:  # one-knot maps too
         bp = np.unique(knots)
         vals = np.sort(data.draw(st.lists(unit_values, min_size=bp.size, max_size=bp.size)))
-        maps.append(IsotonicMap(bp, vals, mode))
+        maps.append(IsotonicMap(bp, vals))
     cf = CalibratedForecaster("per_cell", *oracles.knot_table(maps), h=1, w=len(maps))
     on_knots = st.sampled_from(cf.values.tolist())
     p = np.array(data.draw(st.permutations(data.draw(st.lists(st.one_of(unit_values, on_knots),
@@ -400,19 +389,18 @@ def differential_cases(seed):
 
 def differential_models(forecasts, obs, rng):
     """(calibrator, cell) pairs: none, a pooled fit on the points
-    themselves, a step map, a steep map, a map saturating at both ends, and
-    the knots of all of these as one per-cell model that each point reads
-    at random, once read as linear maps and once as step maps."""
+    themselves, a three-knot map, a steep map, a map saturating at both
+    ends, and all of these as one per-cell model that each point reads at
+    random."""
     maps = (fit_calibrator(forecasts, obs).maps[0],
-            IsotonicMap([0.1, 0.5, 0.9], [0.2, 0.5, 0.9], "step"),
+            IsotonicMap([0.1, 0.5, 0.9], [0.2, 0.5, 0.9]),
             IsotonicMap([0.0, 0.4, np.nextafter(0.4, 1.0), 1.0], [0.0, 0.1, 0.9, 1.0]),
             IsotonicMap([0.2, 0.8], [0.3, 0.6]))
     yield None, None
     for m in maps:
         yield CalibratedForecaster("pooled", *oracles.knot_table([m])), None
     cell = (np.zeros(obs.size, dtype=int), rng.integers(0, len(maps), size=obs.size))
-    for mode in ("linear", "step"):
-        yield CalibratedForecaster("per_cell", *oracles.knot_table(maps, mode), h=1, w=len(maps)), cell
+    yield CalibratedForecaster("per_cell", *oracles.knot_table(maps), h=1, w=len(maps)), cell
 
 
 def test_coverage_matches_the_quantile_path_up_to_rounding_ties():

@@ -1,4 +1,3 @@
-import itertools
 import json
 import re
 import tracemalloc
@@ -179,13 +178,12 @@ def reference_grids(k, seed, t=30, h=3, w=4):
     return fs, GridSeries(times=tuple(range(t)), values=values)
 
 
-def isotonic_reference(forecasts, obs, interpolation):
+def isotonic_reference(forecasts, obs):
     """The PAVA fit of the calibration pairs: what every fitted map must equal."""
-    return fit_isotonic(*build_calibration_dataset(forecasts, obs), interpolation=interpolation)
+    return fit_isotonic(*build_calibration_dataset(forecasts, obs))
 
 
 def assert_same_map(got, want):
-    assert got.interpolation == want.interpolation
     assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
     assert got.values.tobytes() == want.values.tobytes()
 
@@ -194,9 +192,8 @@ class TestFitMatchesIsotonicReference:
     """`fit_calibrator` builds each map directly; PAVA on the calibration
     pairs is the reference it must match bit for bit."""
 
-    @pytest.mark.parametrize("mode", ["linear", "step"])
     @pytest.mark.parametrize("k", [0, 2, 5, 20])
-    def test_pooled_and_per_cell(self, k, mode):
+    def test_pooled_and_per_cell(self, k):
         fs, gs = reference_grids(k, seed=k + 1)
         cols, obs, (rows, col_index) = grid_points(fs, gs)
         assert obs.size < gs.values.size  # some observations are missing
@@ -204,24 +201,21 @@ class TestFitMatchesIsotonicReference:
             c, _ = build_calibration_dataset(cols, obs)
             assert (c == 0.0).any() and (c == 1.0).any()
             assert (cols.samples == obs[:, None]).any()
-        assert_same_map(fit_calibrator(fs, gs, interpolation=mode).maps[0],
-                        isotonic_reference(cols, obs, mode))
-        cf = fit_calibrator(fs, gs, scope="per_cell", interpolation=mode, min_points_per_cell=2)
+        assert_same_map(fit_calibrator(fs, gs).maps[0], isotonic_reference(cols, obs))
+        cf = fit_calibrator(fs, gs, scope="per_cell", min_points_per_cell=2)
         for r in range(gs.h):
             for c in range(gs.w):
                 here = (rows == r) & (col_index == c)
-                assert_same_map(cf.map_for((r, c)), isotonic_reference(cols[here], obs[here], mode))
+                assert_same_map(cf.map_for((r, c)), isotonic_reference(cols[here], obs[here]))
 
-    @pytest.mark.parametrize("mode", ["linear", "step"])
-    def test_flat_mixed_list(self, mode):
+    def test_flat_mixed_list(self):
         forecasts, obs = [], []
         for k in (0, 2, 5, 20):
             cols, o, _ = grid_points(*reference_grids(k, seed=10 + k))
             forecasts += ([Gaussian(m, s) for m, s in zip(cols.means, cols.stds)] if k == 0
                           else [Empirical(row) for row in cols.samples])
             obs += o.tolist()
-        assert_same_map(fit_calibrator(forecasts, obs, interpolation=mode).maps[0],
-                        isotonic_reference(forecasts, obs, mode))
+        assert_same_map(fit_calibrator(forecasts, obs).maps[0], isotonic_reference(forecasts, obs))
 
 
 class TestCalibratedQueries:
@@ -244,7 +238,7 @@ class TestCalibratedQueries:
         """`calibrated_cdf` reads the model's knot table at the cell's map:
         with `IsotonicMap` unbuildable it gives what that map evaluates to."""
         fs, gs = generate_gridded(SynthConfig(alpha=2.0, seed=5, grid=(2, 3, 40)))
-        models = [fit_calibrator(fs, gs), fit_calibrator(fs, gs, scope="per_cell", interpolation="step")]
+        models = [fit_calibrator(fs, gs), fit_calibrator(fs, gs, scope="per_cell")]
         queries = [(cf, d, y, cell) for cf in models for cell in [(0, 0), (1, 2)]
                    for d, y in [(Gaussian(0.0, 2.0), 0.8), (Empirical([-1.0, 0.0, 2.0]), -0.5)]]
         expected = [cf.map_for(cell).evaluate(cdf(d, y)) for cf, d, y, cell in queries]
@@ -365,24 +359,23 @@ class TestModelFile:
                        "maps": [{"breakpoints": [0.0, 1.0], "values": [0.0, 1.0]}]}
 
     @staticmethod
-    def edge_model(scope, interpolation="linear"):
+    def edge_model(scope):
         """Knots at 0 and 1, the smallest subnormal and normal doubles, the
         double just below 1, and 0.1 and 1/3, whose 17-digit and shortest
         spellings differ."""
         knots = [0.0, 5e-324, 2.2250738585072014e-308, 0.1, 1 / 3, np.nextafter(1.0, 0.0), 1.0]
-        maps = (IsotonicMap(knots, knots, interpolation),
-                IsotonicMap(knots[1:], knots[:-1], interpolation))
+        maps = (IsotonicMap(knots, knots), IsotonicMap(knots[1:], knots[:-1]))
         if scope == "pooled":
             return CalibratedForecaster(scope, *oracles.knot_table(maps[:1]))
         return CalibratedForecaster(scope, *oracles.knot_table(maps), h=1, w=2)
 
     def test_floats_carry_full_precision(self, tmp_path):
         path = tmp_path / "model.json"
-        for scope, interpolation in itertools.product(("pooled", "per_cell"), ("linear", "step")):
-            cf = self.edge_model(scope, interpolation)
+        for scope in ("pooled", "per_cell"):
+            cf = self.edge_model(scope)
             save_model(cf, path)
             loaded = load_model(path)
-            assert (loaded.scope, loaded.interpolation) == (scope, interpolation)
+            assert loaded.scope == scope
             for a, b in zip(loaded.maps, cf.maps, strict=True):
                 assert a.breakpoints.tobytes() == b.breakpoints.tobytes()
                 assert a.values.tobytes() == b.values.tobytes()
@@ -407,19 +400,18 @@ class TestModelFile:
             assert a.breakpoints.tobytes() == b.breakpoints.tobytes()
             assert a.values.tobytes() == b.values.tobytes()
 
-    @pytest.mark.parametrize("interpolation", ["linear", "step"])
     @pytest.mark.parametrize("scope", ["pooled", "per_cell"])
-    def test_file_is_the_json_modules_output(self, tmp_path, monkeypatch, scope, interpolation):
+    def test_file_is_the_json_modules_output(self, tmp_path, monkeypatch, scope):
         """The file, and `model_to_json`, hold the bytes the json module
         writes for the model document, with maps of block - 1, block and
         block + 1 knots (and a fitted one) straddling the writer's blocks."""
         monkeypatch.setattr(isocal.recalibration, "MODEL_BLOCK", 3)
         knots = [0.0, 5e-324, 1e-07, 0.1, 1.0]
-        maps = [IsotonicMap(knots[:n], knots[-n:], interpolation) for n in (2, 3, 4)]
+        maps = [IsotonicMap(knots[:n], knots[-n:]) for n in (2, 3, 4)]
         if scope == "pooled":
             forecasts, obs = generate(SynthConfig(n=200, alpha=2.0, seed=1))
             models = [CalibratedForecaster(scope, *oracles.knot_table([m])) for m in maps]
-            models.append(fit_calibrator(forecasts, obs, interpolation=interpolation))
+            models.append(fit_calibrator(forecasts, obs))
         else:
             models = [CalibratedForecaster(scope, *oracles.knot_table(maps), h=1, w=3)]
         path = tmp_path / "model.json"
@@ -449,12 +441,11 @@ class TestModelFile:
         within maps only; a repeat, a decrease or an empty map is refused,
         and the error names that map."""
         h, w = data.draw(st.integers(1, 3)), data.draw(st.integers(2, 3))
-        mode = data.draw(st.sampled_from(["linear", "step"]))
         maps = []
         for _ in range(h * w):
             bp = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6, unique=True)))
             vals = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=len(bp), max_size=len(bp))))
-            maps.append(IsotonicMap(bp, vals, mode))
+            maps.append(IsotonicMap(bp, vals))
         # Each map begins at or below where the previous one begins, so at
         # or below where it ends: order breaks at every map start.
         maps.sort(key=lambda m: -m.breakpoints[0])
@@ -467,7 +458,7 @@ class TestModelFile:
         loaded = load_model(path)
         for field in ("breakpoints", "values", "starts"):
             assert getattr(loaded, field).tobytes() == getattr(cf, field).tobytes()
-        assert (loaded.scope, loaded.interpolation, loaded.h, loaded.w) == ("per_cell", mode, h, w)
+        assert (loaded.scope, loaded.h, loaded.w) == ("per_cell", h, w)
 
         i = data.draw(st.integers(0, h * w - 1))
         doc = json.loads(path.read_text())
@@ -497,7 +488,7 @@ class TestModelFile:
         starts = np.r_[cf.starts, cf.breakpoints.size]
         starts[i] = starts[i + 1]  # map i holds no knot
         with pytest.raises(ValueError, match="each map holding at least one knot"):
-            CalibratedForecaster("per_cell", cf.breakpoints, cf.values, starts[:-1], mode, h=h, w=w)
+            CalibratedForecaster("per_cell", cf.breakpoints, cf.values, starts[:-1], h=h, w=w)
 
     def test_rejects_unknown_version(self, tmp_path):
         path = tmp_path / "bad.json"
