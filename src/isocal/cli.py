@@ -56,11 +56,11 @@ class _Parser(argparse.ArgumentParser):
     """argparse subclass whose refusals reach `main` as a `UsageError`."""
 
     def parse_args(self, args=None, namespace=None):
-        """Read a ``--cell`` or ``--levels`` value that starts with ``-`` and a digit or
-        ``.`` as that flag's (``--cell=-1,0``): argparse takes such a list for an option."""
+        """Read a token that starts with ``-`` and a digit, ``.``, ``inf`` or ``nan`` as the
+        value of the long flag before it (``--cell=-1,0``): argparse takes it for an option."""
         argv = list(sys.argv[1:] if args is None else args)
         for i in reversed(range(1, len(argv))):
-            if argv[i - 1] in ("--cell", "--levels") and re.match(r"-[\d.]", argv[i]):
+            if re.fullmatch(r"--[^=]+", argv[i - 1]) and re.match(r"-([\d.]|inf|nan)", argv[i], re.I):
                 argv[i - 1:i + 1] = [f"{argv[i - 1]}={argv[i]}"]
         return super().parse_args(argv, namespace)
 

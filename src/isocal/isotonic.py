@@ -88,12 +88,12 @@ class IsotonicMap:
         resolve to their left endpoint. Scalar or array.
         """
         out = inverse_maps(self, [0], p)[0]
-        return float(out[0]) if np.ndim(p) == 0 else out
+        return float(out[0]) if np.ndim(p) == 0 else out.reshape(np.shape(p))
 
 
 def inverse_maps(table, rows, p) -> np.ndarray:
     """`IsotonicMap.inverse` of the maps ``rows`` of a knot table at every
-    level: len(rows) x len(p).
+    level of ``p``, flattened: len(rows) x p.size.
 
     ``table`` has the fields `check_knots` validates, as an `IsotonicMap`
     and a `CalibratedForecaster` do. A level's knot within its map is
@@ -107,7 +107,7 @@ def inverse_maps(table, rows, p) -> np.ndarray:
     p_in = np.asarray(p, dtype=np.float64)
     if np.any(p_in < 0.0) or np.any(p_in > 1.0) or not np.all(np.isfinite(p_in)):
         raise ValueError(f"inversion level outside [0, 1]: {p!r}")
-    p_arr = np.atleast_1d(p_in)
+    p_arr = p_in.ravel()
     vals, bp, starts = table.values, table.breakpoints, np.asarray(table.starts)
     sizes = np.diff(np.r_[starts, vals.size])
     rows = np.asarray(rows, dtype=np.intp)

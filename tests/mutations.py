@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 FRAGMENTS = [
     *(c.encode() for c in "0123456789,.-+eENanifIty\n"),
     b"nan", b"inf", b"Infinity", b"-0", b"5.0", b"1e500", b"9" * 20, b"00",
-    b" ", b"\t", b"\r", b"\r\n", b"_", b"#", b'"', b"\x1c", b"\x1f", b"x",
+    b" ", b"\t", b"\r", b"\r\n", b"_", b"#", b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"x",
     "٣".encode(), " ".encode(), b"\xff", b"\xc3",
 ]
 

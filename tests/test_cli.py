@@ -737,6 +737,8 @@ REFUSALS = {
     "alpha nan": ((*SYNTH, "--n", "5", "--alpha", "nan"), 1, "usage error: alpha must be finite and positive: nan"),
     "alpha inf": ((*SYNTH, "--n", "5", "--alpha", "inf"), 1, "usage error: alpha must be finite and positive: inf"),
     "grid 0x2x3": ((*SYNTH, "--grid", "0x2x3"), 1, "usage error: grid dims must be positive: (0, 2, 3)"),
+    "grid token -1x2x3": ((*SYNTH, "--grid", "-1x2x3"), 1, "usage error: grid dims must be positive: (-1, 2, 3)"),
+    "bias token -inf": ((*SYNTH, "--n", "5", "--bias", "-inf"), 1, "usage error: bias must be finite"),
     "grid 2x3": ((*SYNTH, "--grid", "2x3"), 1,
                  "usage error: argument --grid: bad grid spec (want HxWxT): '2x3'"),
     "k 2**70": ((*SYNTH, "--n", "1", "--mode", "sample_set", "--k", str(2**70)), 1,
@@ -757,6 +759,10 @@ REFUSALS = {
                        "usage error: argument --levels: levels must be strictly increasing: '0.6,0.5'"),
     "levels token -0.5,0.5": ((*EVALUATE, "--levels", "-0.5,0.5"), 1, "usage error: argument --levels: "
                               "levels must lie strictly inside (0, 1): '-0.5,0.5'"),
+    "abbreviated levels token -0.5,0.5": ((*EVALUATE, "--lev", "-0.5,0.5"), 1, "usage error: argument --levels: "
+                                          "levels must lie strictly inside (0, 1): '-0.5,0.5'"),
+    "human token -1": ((*EVALUATE, "--human", "-1"), 1,
+                       "usage error: argument --human: ignored explicit argument '-1'"),
     "calibrate --interpolation step": (("calibrate", *SCORE, "--interpolation", "step", "--out", "{out}/m.json"),
                                        1, "usage error: unrecognized arguments: --interpolation step"),
     "one-member ensemble": (("calibrate", "--forecasts", "{in}/one_member.csv", "--observations",

@@ -408,6 +408,9 @@ OBS = "time,row,col,value\n"
 TOKEN_CASES = {
     "key-0x1c-after": (OBS + "0\x1c,0,0,1.0\n", "line 2: invalid time: '0\\x1c'"),
     "key-0x1c-before": (OBS + "\x1c0,0,0,1.0\n", "line 2: invalid time: '\\x1c0'"),
+    "key-0x1d-after": (OBS + "0\x1d,0,0,1.0\n", "line 2: invalid time: '0\\x1d'"),
+    "value-0x1e-before": (OBS + "0,0,0,\x1e1.5\n", "line 2: invalid value: '\\x1e1.5'"),
+    "value-0x1f-after": (OBS + "0,0,0,1.5\x1f\n", "line 2: invalid value: '1.5\\x1f'"),
     "key-1_0": (OBS + "1_0,0,0,1.0\n", ((10,), [1.0])),
     "value-1_0.5": (OBS + "0,0,0,1_0.5\n", ((0,), [10.5])),
     "key-arabic-indic-3": (OBS + "\u0663,0,0,1.0\n", ((3,), [1.0])),
@@ -479,14 +482,24 @@ def _numpy_reader_only():
 
 
 VALID_TOKEN_CASES = {name: case for name, case in TOKEN_CASES.items() if not isinstance(case[1], str)}
+# Valid files with a byte that numpy's C parser does not take: `_` and non-ASCII digits.
+LINE_READER_TOKENS = {"key-1_0", "value-1_0.5", "key-arabic-indic-3", "value-arabic-indic-3"}
 
 
-@pytest.mark.parametrize("text, expected", VALID_TOKEN_CASES.values(), ids=VALID_TOKEN_CASES.keys())
-def test_valid_tokens_take_numpy_reader(tmp_path, text, expected):
-    """Fields that ``int``/``float`` accept are read by numpy, canonical or not."""
+def _no_numpy_reader():
+    """Fail any read that reaches numpy."""
+    return mock.patch.object(np, "loadtxt", side_effect=AssertionError("numpy path"))
+
+
+@pytest.mark.parametrize("name", VALID_TOKEN_CASES)
+def test_valid_tokens_take_numpy_reader(tmp_path, name):
+    """Fields that ``int``/``float`` accept are read by numpy's C parser when
+    they hold only written bytes, space and tab, and by the line-by-line
+    reader otherwise, which reads them without calling numpy at all."""
+    text, expected = VALID_TOKEN_CASES[name]
     path = tmp_path / "grid.csv"
     path.write_bytes(text.encode())
-    with _numpy_reader_only():
+    with _no_numpy_reader() if name in LINE_READER_TOKENS else _numpy_reader_only():
         gs = read_observations(path)
     assert (gs.times, gs.values.tobytes()) == (expected[0], np.array(expected[1]).tobytes())
 
@@ -556,8 +569,14 @@ def _outcome(path):
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_numpy_reader_agrees_with_line_by_line_reader(tmp_path_factory, fmt, data):
+    """Half the files have a space or tab on both sides of every comma of
+    the body, so numpy's C parser meets them too."""
+    header, body = VALID_FILES[fmt].split("\n", 1)
+    if data.draw(st.booleans()):
+        pad = data.draw(st.sampled_from([" ", "\t"]))
+        body = body.replace(",", f"{pad},{pad}")
     path = tmp_path_factory.getbasetemp() / f"mutated_{fmt}.csv"
-    path.write_bytes(data.draw(mutated(VALID_FILES[fmt])))
+    path.write_bytes(data.draw(mutated(f"{header}\n{body}")))
     with _line_by_line_only():
         expected = _outcome(path)
     assert _outcome(path) == expected

@@ -134,6 +134,19 @@ def test_inverse_of_no_levels_is_empty():
     assert inverse_maps(m, [0, 0, 0], []).shape == (3, 0)
 
 
+@pytest.mark.parametrize("shape", [(2, 3), (2, 1, 3), (3, 2, 2)])
+def test_inverse_and_evaluate_keep_the_shape_of_their_levels(shape):
+    """A level array of any shape gives the flat call's values, bit for bit, in that shape."""
+    m = IsotonicMap([0.0, 0.5, 1.0], [0.0, 0.2, 1.0])
+    p = np.array([0.1, 0.6, 0.3, 0.9, 0.2, 0.5, 0.0, 1.0, 0.2, 0.75, 0.05, 0.4])[:np.prod(shape)].reshape(shape)
+    for call in (m.inverse, m.evaluate):
+        got = call(p)
+        assert got.shape == shape
+        assert got.tobytes() == call(p.ravel()).tobytes()
+    assert inverse_maps(m, [0, 0], p).tobytes() == inverse_maps(m, [0, 0], p.ravel()).tobytes()
+    assert inverse_maps(m, [0, 0], p).shape == (2, p.size)
+
+
 def test_map_validation():
     with pytest.raises(ValueError):
         IsotonicMap([0.5, 0.5], [0.1, 0.2])  # breakpoints not strictly increasing
